@@ -40,15 +40,16 @@ LanResult run_lan_throughput(const LanConfig& config) {
   params.stop_timeout = runtime::sec(20);
   params.stall_timeout = runtime::sec(10);
   params.checkpoint_period = 1u << 20;  // no checkpoint cost
-  ordering::ServiceOptions options =
-      ordering::ServiceOptions{}
-          .with_nodes(std::move(node_ids))
-          .with_block_size(config.block_size)
-          .with_stub_signatures(true)  // calibrated cost model (§6.1)
-          .with_double_sign(config.double_sign)
-          .with_replica_params(std::move(params));
+  ordering::ServiceOptions options{
+      .nodes = std::move(node_ids),
+      .block_size = config.block_size,
+      .replica_params = std::move(params),
+      .stub_signatures = true,  // calibrated cost model (§6.1)
+      .double_sign = config.double_sign,
+  };
   if (config.collect_metrics) {
-    options.with_metrics(&registry).with_trace(trace.get());
+    options.metrics = &registry;
+    options.trace = trace.get();
   }
   ordering::Service service = ordering::make_service(options);
 
@@ -85,9 +86,9 @@ LanResult run_lan_throughput(const LanConfig& config) {
 
   // --- receivers (the fan-out targets being measured) ---
   ordering::FrontendOptions receiver_options =
-      ordering::make_frontend_options(service, options)
-          .with_track_latency(false)
-          .with_verify_signatures(config.verify_signatures);
+      ordering::make_frontend_options(service, options);
+  receiver_options.track_latency = false;
+  receiver_options.verify_signatures = config.verify_signatures;
   std::vector<std::unique_ptr<ordering::Frontend>> receivers;
   for (std::uint32_t r = 0; r < config.receivers; ++r) {
     ordering::FrontendOptions ro = receiver_options;
@@ -103,14 +104,14 @@ LanResult run_lan_throughput(const LanConfig& config) {
   }
 
   // --- submitters (do not receive blocks) ---
-  ordering::FrontendOptions submit_options =
-      ordering::FrontendOptions(receiver_options)
-          .with_receive_blocks(false)
-          .with_verify_signatures(false);
+  ordering::FrontendOptions submit_options = receiver_options;
+  submit_options.receive_blocks = false;
+  submit_options.verify_signatures = false;
   if (config.collect_metrics) {
     // Submitters emit the per-envelope kSubmit trace events that anchor the
     // submit->propose stage; their frontend.submitted counters aggregate.
-    submit_options.with_metrics(&registry).with_trace(trace.get());
+    submit_options.metrics = &registry;
+    submit_options.trace = trace.get();
   }
   std::vector<std::unique_ptr<ordering::Frontend>> submitters;
   for (std::uint32_t s = 0; s < config.submitters; ++s) {
@@ -213,16 +214,18 @@ GeoResult run_geo_latency(const GeoConfig& config) {
   params.stall_timeout = runtime::sec(10);
   params.checkpoint_period = 1u << 20;
   if (config.wheat) params.tentative_execution = config.use_tentative;
-  ordering::ServiceOptions options = ordering::ServiceOptions{}
-                                         .with_nodes(std::move(node_ids))
-                                         .with_block_size(config.block_size)
-                                         .with_stub_signatures(true)
-                                         .with_replica_params(std::move(params));
+  ordering::ServiceOptions options{
+      .nodes = std::move(node_ids),
+      .block_size = config.block_size,
+      .replica_params = std::move(params),
+      .stub_signatures = true,
+  };
   if (config.wheat && config.use_weights) {
-    options.with_vmax_nodes(ordering::paper_wheat_vmax_nodes());
+    options.vmax_nodes = ordering::paper_wheat_vmax_nodes();
   }
   if (config.collect_metrics) {
-    options.with_metrics(&registry).with_trace(trace.get());
+    options.metrics = &registry;
+    options.trace = trace.get();
   }
 
   ordering::Service service = ordering::make_service(options);
@@ -245,7 +248,8 @@ GeoResult run_geo_latency(const GeoConfig& config) {
       // Every geo frontend submits and receives, so instrumenting all of them
       // closes the full submit->frontend_accept chain per envelope (the
       // frontend.* counters aggregate across regions).
-      fo.with_metrics(&registry).with_trace(trace.get());
+      fo.metrics = &registry;
+      fo.trace = trace.get();
     }
     frontends.push_back(
         std::make_unique<ordering::Frontend>(service.cluster, fo));

@@ -5,7 +5,7 @@
 //   bft_node --config cluster4.cfg --id 2 [--block-size 10] [--workers 2]
 //            [--metrics]
 //
-// --workers N sizes the node's staged-pipeline runner: N pinned workers run
+// --workers N sizes the node's staged-pipeline runner: N workers run
 // message prologues (decode + signature verification) and block signing in
 // parallel, with epilogues applied in submission order on the replica's event
 // loop. 0 selects the serial reference path (everything inline, the

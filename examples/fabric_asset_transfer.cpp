@@ -46,8 +46,7 @@ int main() {
   }
   fabric::FabricClient client(300, "channel-0", policy);
 
-  ordering::ServiceOptions options =
-      ordering::ServiceOptions{}.with_nodes({0, 1, 2, 3}).with_block_size(2);
+  const ordering::ServiceOptions options{.nodes = {0, 1, 2, 3}, .block_size = 2};
   ordering::Service service = ordering::make_service(options);
 
   runtime::SimCluster cluster(

@@ -15,10 +15,8 @@ int main() {
   smr::ReplicaParams params;
   params.forward_timeout = runtime::msec(300);
   params.stop_timeout = runtime::msec(500);
-  ordering::ServiceOptions options = ordering::ServiceOptions{}
-                                         .with_nodes({0, 1, 2, 3})
-                                         .with_block_size(5)
-                                         .with_replica_params(std::move(params));
+  const ordering::ServiceOptions options{
+      .nodes = {0, 1, 2, 3}, .block_size = 5, .replica_params = params};
 
   ordering::Service service = ordering::make_service(options);
   runtime::SimCluster cluster(

@@ -13,11 +13,11 @@
 using namespace bft;
 
 int main() {
-  ordering::ServiceOptions options =
-      ordering::ServiceOptions{}
-          .with_nodes({0, 1, 2, 3})
-          .with_block_size(5)
-          .with_batch_timeout(runtime::msec(250));  // flush stragglers via TTC
+  const ordering::ServiceOptions options{
+      .nodes = {0, 1, 2, 3},
+      .block_size = 5,
+      .batch_timeout = runtime::msec(250),  // flush stragglers via TTC
+  };
 
   ordering::Service service = ordering::make_service(options);
   runtime::SimCluster cluster(

@@ -15,8 +15,7 @@ using namespace bft;
 int main() {
   // 1. Describe the service: four ordering nodes (f = 1), ten envelopes per
   //    block, real ECDSA block signatures.
-  const ordering::ServiceOptions options =
-      ordering::ServiceOptions{}.with_nodes({0, 1, 2, 3}).with_block_size(10);
+  const ordering::ServiceOptions options{.nodes = {0, 1, 2, 3}, .block_size = 10};
 
   ordering::Service service = ordering::make_service(options);
 

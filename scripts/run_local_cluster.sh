@@ -10,6 +10,9 @@
 # flush), and the restarted node must report a restart-from-disk replay
 # (`replayed=` > 0 in its startup banner) before the run may pass.
 #
+# On failure every process's log (nodes, restarted node, receiver) is printed
+# to stderr.
+#
 # Usage: scripts/run_local_cluster.sh [build-dir] [--kill9]   (default: build)
 set -euo pipefail
 
@@ -38,11 +41,18 @@ RECEIVER_PID=""
 RESTARTED_PID=""
 
 cleanup() {
-  local pid
+  local status=$? pid log
   for pid in "${NODE_PIDS[@]:-}" "$RECEIVER_PID" "$RESTARTED_PID"; do
     [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
   done
   wait 2>/dev/null || true
+  if (( status != 0 )); then
+    for log in "$WORK_DIR"/*.log; do
+      [[ -f "$log" ]] || continue
+      echo "----- $(basename "$log") -----" >&2
+      cat "$log" >&2
+    done
+  fi
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
@@ -69,13 +79,11 @@ wait_for_block() {
   local n="$1" deadline=$((SECONDS + 60))
   while ! grep -q "^block #$n " "$RECEIVER_LOG" 2>/dev/null; do
     if (( SECONDS >= deadline )); then
-      echo "timed out waiting for block #$n; receiver log:" >&2
-      cat "$RECEIVER_LOG" >&2
+      echo "timed out waiting for block #$n" >&2
       exit 1
     fi
     if [[ -n "$RECEIVER_PID" ]] && ! kill -0 "$RECEIVER_PID" 2>/dev/null; then
-      echo "receiver died; log:" >&2
-      cat "$RECEIVER_LOG" >&2
+      echo "receiver died" >&2
       exit 1
     fi
     sleep 0.2
@@ -121,8 +129,7 @@ if (( KILL9 )); then
   until find "$WORK_DIR/data/node3/wal" -name 'wal-*.seg' -size +8c 2>/dev/null \
       | grep -q .; do
     if (( SECONDS >= deadline )); then
-      echo "node 3 never wrote a WAL record; log:" >&2
-      cat "$WORK_DIR/node3.log" >&2
+      echo "node 3 never wrote a WAL record" >&2
       exit 1
     fi
     sleep 0.2
@@ -156,15 +163,13 @@ if (( KILL9 )); then
   deadline=$((SECONDS + 30))
   until grep -q "replayed=" "$WORK_DIR/node3-restart.log" 2>/dev/null; do
     if (( SECONDS >= deadline )); then
-      echo "restarted node never reported storage recovery; log:" >&2
-      cat "$WORK_DIR/node3-restart.log" >&2
+      echo "restarted node never reported storage recovery" >&2
       exit 1
     fi
     sleep 0.2
   done
   if ! grep -q "replayed=[1-9]" "$WORK_DIR/node3-restart.log"; then
-    echo "restarted node did not replay any decisions from its WAL; log:" >&2
-    cat "$WORK_DIR/node3-restart.log" >&2
+    echo "restarted node did not replay any decisions from its WAL" >&2
     exit 1
   fi
   grep "storage:" "$WORK_DIR/node3-restart.log"
@@ -177,8 +182,7 @@ wait_for_block 6
 
 # The receiver exits 0 once its 6th block arrived and the chain verified.
 if ! wait "$RECEIVER_PID"; then
-  echo "receiver failed; log:" >&2
-  cat "$RECEIVER_LOG" >&2
+  echo "receiver failed" >&2
   exit 1
 fi
 RECEIVER_PID=""

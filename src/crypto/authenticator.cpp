@@ -1,11 +1,8 @@
 #include "crypto/authenticator.hpp"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 #include <string>
-
-#include "crypto/hmac.hpp"
 
 namespace bft::crypto {
 
@@ -24,55 +21,18 @@ const PublicKey& process_public_key(std::uint32_t id) {
   return it->second;
 }
 
-EcdsaAuthenticator::EcdsaAuthenticator(std::uint32_t self)
-    : self_(self), key_(process_private_key(self)) {}
+Authenticator::Authenticator(std::uint32_t self)
+    : key_(process_private_key(self)) {}
 
-Bytes EcdsaAuthenticator::sign_for(std::uint32_t peer,
-                                   const Hash256& digest) const {
-  (void)peer;  // one ECDSA signature verifies for every recipient
+Bytes Authenticator::sign(const Hash256& digest) const {
   return key_.sign(digest).to_bytes();
 }
 
-bool EcdsaAuthenticator::verify_from(std::uint32_t from, const Hash256& digest,
-                                     ByteView signature) const {
+bool Authenticator::verify(std::uint32_t from, const Hash256& digest,
+                           ByteView signature) const {
   const auto sig = Signature::from_bytes(signature);
   if (!sig.ok()) return false;
   return process_public_key(from).verify(digest, sig.value());
-}
-
-Hash256 HmacAuthenticator::session_key(std::uint32_t peer) const {
-  // Symmetric derivation: both ends hash the same (lo, hi) pair, so the pair
-  // shares one MAC key. Rooted in the deterministic per-process key material
-  // the simulated PKI hands out.
-  const std::uint32_t lo = std::min(self_, peer);
-  const std::uint32_t hi = std::max(self_, peer);
-  Bytes seed = to_bytes("bft-hmac-session-" + std::to_string(lo) + "-" +
-                        std::to_string(hi));
-  const Bytes lo_key = process_private_key(lo).to_bytes();
-  const Bytes hi_key = process_private_key(hi).to_bytes();
-  seed.insert(seed.end(), lo_key.begin(), lo_key.end());
-  seed.insert(seed.end(), hi_key.begin(), hi_key.end());
-  return sha256(seed);
-}
-
-Bytes HmacAuthenticator::sign_for(std::uint32_t peer,
-                                  const Hash256& digest) const {
-  const Hash256 key = session_key(peer);
-  const Hash256 tag =
-      hmac_sha256(ByteView(key.data(), key.size()),
-                  ByteView(digest.data(), digest.size()));
-  return Bytes(tag.begin(), tag.end());
-}
-
-bool HmacAuthenticator::verify_from(std::uint32_t from, const Hash256& digest,
-                                    ByteView signature) const {
-  const Bytes expected = sign_for(from, digest);
-  return constant_time_equal(expected, signature);
-}
-
-std::shared_ptr<const Authenticator> make_process_authenticator(
-    std::uint32_t self) {
-  return std::make_shared<EcdsaAuthenticator>(self);
 }
 
 }  // namespace bft::crypto

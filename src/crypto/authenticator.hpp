@@ -1,21 +1,15 @@
-// Unified process-keyed authentication seam. Every signature the protocol
-// produces or checks — FORWARD relays, WRITE attestations, STOPDATA
-// certificates, ordered-block signatures — goes through one interface keyed
-// by process id, so the staged runner prologue (runner.hpp) has a single
-// thread-safe verification entry point instead of the previous ad-hoc trio
-// (ecdsa::PublicKey::verify, raw HMAC checks, per-message inline
-// digest+verify).
+// Process-keyed authentication seam. Every signature the protocol produces
+// or checks — FORWARD relays, WRITE attestations, STOPDATA certificates,
+// ordered-block signatures — goes through this one class keyed by process
+// id, so the staged runner prologue (runner.hpp) has a single thread-safe
+// verification entry point.
 //
-// Two schemes:
-//   * EcdsaAuthenticator — the paper's scheme: per-process secp256k1 keys
-//     from the deterministic simulated PKI. Signatures verify for everyone.
-//   * HmacAuthenticator — pairwise session MACs (the ROADMAP's BFT-SMaRt
-//     style fast path): cheap, but only the session counterparty can verify,
-//     so it suits point-to-point traffic (relays, replies), not broadcast.
+// The scheme is the paper's: ECDSA (secp256k1, RFC-6979) over per-process
+// keys from the deterministic simulated PKI. Signatures verify for everyone,
+// which broadcast traffic (WRITEs, blocks) needs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/bytes.hpp"
 #include "crypto/ecdsa.hpp"
@@ -31,63 +25,22 @@ PrivateKey process_private_key(std::uint32_t id);
 /// lifetime. Thread-safe.
 const PublicKey& process_public_key(std::uint32_t id);
 
-/// Signing/verification keyed by process id. Implementations must be
-/// thread-safe: both methods are called concurrently from runner prologue
-/// workers and from event-loop threads.
+/// Signing with process `self`'s key and verification against any process's
+/// key. Thread-safe: both methods are called concurrently from runner
+/// prologue workers and from event-loop threads.
 class Authenticator {
  public:
-  virtual ~Authenticator() = default;
+  explicit Authenticator(std::uint32_t self);
 
-  /// Produces this process's authentication tag over `digest`, bound to
-  /// `peer`: for public-key schemes `peer` is ignored (one signature verifies
-  /// everywhere — pass the recipient or your own id); for session-MAC
-  /// schemes it selects the pairwise key, so only `peer` can verify.
-  virtual Bytes sign_for(std::uint32_t peer, const Hash256& digest) const = 0;
+  /// This process's signature over `digest`.
+  Bytes sign(const Hash256& digest) const;
 
-  /// True iff `signature` is process `from`'s valid tag over `digest`.
-  virtual bool verify_from(std::uint32_t from, const Hash256& digest,
-                           ByteView signature) const = 0;
-};
-
-/// ECDSA (secp256k1, RFC-6979) over the deterministic per-process keys.
-class EcdsaAuthenticator final : public Authenticator {
- public:
-  explicit EcdsaAuthenticator(std::uint32_t self);
-
-  Bytes sign_for(std::uint32_t peer, const Hash256& digest) const override;
-  bool verify_from(std::uint32_t from, const Hash256& digest,
-                   ByteView signature) const override;
-
-  std::uint32_t self() const { return self_; }
+  /// True iff `signature` is process `from`'s valid signature over `digest`.
+  bool verify(std::uint32_t from, const Hash256& digest,
+              ByteView signature) const;
 
  private:
-  std::uint32_t self_;
   PrivateKey key_;
 };
-
-/// Pairwise HMAC-SHA256 session authenticator. The session key for the pair
-/// (a, b) is derived symmetrically from the two process keys, so both ends
-/// compute the same MAC key and verification is a constant-time tag compare
-/// — no point multiplication. Landing point for the HMAC fast path; not yet
-/// wired as a protocol default because WRITE/block signatures are broadcast.
-class HmacAuthenticator final : public Authenticator {
- public:
-  explicit HmacAuthenticator(std::uint32_t self) : self_(self) {}
-
-  Bytes sign_for(std::uint32_t peer, const Hash256& digest) const override;
-  bool verify_from(std::uint32_t from, const Hash256& digest,
-                   ByteView signature) const override;
-
-  std::uint32_t self() const { return self_; }
-
- private:
-  Hash256 session_key(std::uint32_t peer) const;
-
-  std::uint32_t self_;
-};
-
-/// Shared ECDSA authenticator for `self` (the common case; one per process).
-std::shared_ptr<const Authenticator> make_process_authenticator(
-    std::uint32_t self);
 
 }  // namespace bft::crypto

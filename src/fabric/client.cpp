@@ -1,6 +1,6 @@
 #include "fabric/client.hpp"
 
-#include "smr/replica.hpp"
+#include "crypto/authenticator.hpp"
 
 namespace bft::fabric {
 
@@ -9,7 +9,7 @@ FabricClient::FabricClient(runtime::ProcessId id, std::string channel,
     : id_(id),
       channel_(std::move(channel)),
       policy_(std::move(policy)),
-      signing_key_(smr::process_signing_key(id)) {}
+      signing_key_(crypto::process_private_key(id)) {}
 
 Proposal FabricClient::make_proposal(const std::string& chaincode,
                                      std::vector<std::string> args,
@@ -60,7 +60,7 @@ Result<Envelope> FabricClient::assemble(
   for (const ProposalResponse& r : responses) {
     if (!(r.rwset == reference)) continue;
     const auto sig = crypto::Signature::from_bytes(r.endorsement.signature);
-    if (!sig.ok() || !smr::process_public_key(r.endorsement.peer)
+    if (!sig.ok() || !crypto::process_public_key(r.endorsement.peer)
                           .verify(digest, sig.value())) {
       continue;  // forged or corrupted endorsement
     }

@@ -1,6 +1,6 @@
 #include "fabric/peer.hpp"
 
-#include "smr/replica.hpp"  // process signing keys (simulated PKI)
+#include "crypto/authenticator.hpp"  // process signing keys (simulated PKI)
 
 namespace bft::fabric {
 
@@ -16,7 +16,7 @@ Peer::Peer(runtime::ProcessId id, std::string channel, EndorsementPolicy policy)
     : id_(id),
       channel_(std::move(channel)),
       policy_(std::move(policy)),
-      signing_key_(smr::process_signing_key(id)),
+      signing_key_(crypto::process_private_key(id)),
       ledger_(channel_) {}
 
 void Peer::install_chaincode(std::shared_ptr<Chaincode> chaincode) {
@@ -52,7 +52,7 @@ TxValidation Peer::validate(const Envelope& envelope) const {
   // 1. Client signature over the assembled envelope.
   const auto client_sig = crypto::Signature::from_bytes(envelope.client_signature);
   if (!client_sig.ok() ||
-      !smr::process_public_key(envelope.proposal.client)
+      !crypto::process_public_key(envelope.proposal.client)
            .verify(envelope.signing_digest(), client_sig.value())) {
     return TxValidation::bad_client_signature;
   }
@@ -65,7 +65,7 @@ TxValidation Peer::validate(const Envelope& envelope) const {
     if (!policy_.is_member(e.peer)) continue;
     const auto sig = crypto::Signature::from_bytes(e.signature);
     if (sig.ok() &&
-        smr::process_public_key(e.peer).verify(digest, sig.value())) {
+        crypto::process_public_key(e.peer).verify(digest, sig.value())) {
       valid_endorsers.insert(e.peer);
     }
   }

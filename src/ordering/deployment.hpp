@@ -11,16 +11,20 @@
 
 namespace bft::ordering {
 
+/// Plain aggregate: assign fields, or name them in a C++20 designated
+/// initializer (`ServiceOptions{.nodes = {0, 1, 2, 3}, .block_size = 10}`).
+/// Every member has a default initializer, so omitted ones draw no
+/// -Wmissing-field-initializers warning.
 struct ServiceOptions {
   /// Ordering-node process ids (e.g. 0..n-1). WHEAT deployments list the
   /// Vmax carriers in `vmax_nodes`.
-  std::vector<runtime::ProcessId> nodes;
-  std::set<runtime::ProcessId> vmax_nodes;  // empty -> classic BFT-SMaRt
+  std::vector<runtime::ProcessId> nodes{};
+  std::set<runtime::ProcessId> vmax_nodes{};  // empty -> classic BFT-SMaRt
   std::string channel = "channel-0";
   std::size_t block_size = 10;
   /// Cut partial blocks after this long (0 = never), via ordered markers.
   runtime::Duration batch_timeout = 0;
-  smr::ReplicaParams replica_params;
+  smr::ReplicaParams replica_params{};
   /// Use keyed-hash stub signatures with calibrated cost instead of real
   /// ECDSA (for discrete-event benchmarks).
   bool stub_signatures = false;
@@ -30,7 +34,7 @@ struct ServiceOptions {
   bool double_sign = false;
   /// Byzantine fault injection: these nodes emit invalid block signatures
   /// (their blocks are correct, their signatures never verify).
-  std::set<runtime::ProcessId> corrupt_signers;
+  std::set<runtime::ProcessId> corrupt_signers{};
   /// Optional observability sinks (non-owning; must outlive the service).
   /// Wired into the replica + ordering node of `metrics_node` only: metric
   /// names carry no per-node prefix, so instrumenting one probe node keeps
@@ -38,67 +42,6 @@ struct ServiceOptions {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
   runtime::ProcessId metrics_node = 0;
-
-  // --- chainable setters (preferred construction style) ---
-  // Assemble options fluently and pass the result straight to make_service:
-  //   make_service(ServiceOptions{}
-  //                    .with_nodes({0, 1, 2, 3})
-  //                    .with_block_size(100)
-  //                    .with_stub_signatures(true));
-  // Assigning fields one statement at a time still compiles (the struct stays
-  // an aggregate) but is deprecated for new call sites — the chain keeps the
-  // whole configuration in one expression and reads like the deployment it
-  // describes.
-  ServiceOptions& with_nodes(std::vector<runtime::ProcessId> v) {
-    nodes = std::move(v);
-    return *this;
-  }
-  ServiceOptions& with_vmax_nodes(std::set<runtime::ProcessId> v) {
-    vmax_nodes = std::move(v);
-    return *this;
-  }
-  ServiceOptions& with_channel(std::string v) {
-    channel = std::move(v);
-    return *this;
-  }
-  ServiceOptions& with_block_size(std::size_t v) {
-    block_size = v;
-    return *this;
-  }
-  ServiceOptions& with_batch_timeout(runtime::Duration v) {
-    batch_timeout = v;
-    return *this;
-  }
-  ServiceOptions& with_replica_params(smr::ReplicaParams v) {
-    replica_params = std::move(v);
-    return *this;
-  }
-  ServiceOptions& with_stub_signatures(bool v) {
-    stub_signatures = v;
-    return *this;
-  }
-  ServiceOptions& with_signature_cost(runtime::Duration v) {
-    signature_cost = v;
-    return *this;
-  }
-  ServiceOptions& with_double_sign(bool v) {
-    double_sign = v;
-    return *this;
-  }
-  ServiceOptions& with_corrupt_signers(std::set<runtime::ProcessId> v) {
-    corrupt_signers = std::move(v);
-    return *this;
-  }
-  ServiceOptions& with_metrics(obs::MetricsRegistry* reg,
-                               runtime::ProcessId node = 0) {
-    metrics = reg;
-    metrics_node = node;
-    return *this;
-  }
-  ServiceOptions& with_trace(obs::TraceRing* ring) {
-    trace = ring;
-    return *this;
-  }
 };
 
 /// One ordering node and its replica, wired together.

@@ -84,9 +84,8 @@ runtime::Verified Frontend::prologue(runtime::ProcessId from,
   runtime::Verified v;
   v.from = from;
   v.payload = std::move(payload);
-  if (!options_.verify_signatures || options_.verifier == nullptr ||
-      !cluster_.contains(from)) {
-    return v;  // nothing offloadable; consume() handles everything
+  if (!options_.verify_signatures || !cluster_.contains(from)) {
+    return v;  // consume() needs no verdict for this message
   }
   try {
     const ByteView view = v.payload.view();
@@ -104,15 +103,8 @@ runtime::Verified Frontend::prologue(runtime::ProcessId from,
 }
 
 void Frontend::consume(runtime::Verified&& verified) {
-  dispatch(verified.from, verified.payload.view(), verified.auth);
-}
-
-void Frontend::on_message(runtime::ProcessId from, ByteView payload) {
-  dispatch(from, payload, runtime::Verified::Auth::unchecked);
-}
-
-void Frontend::dispatch(runtime::ProcessId from, ByteView payload,
-                        runtime::Verified::Auth auth) {
+  const runtime::ProcessId from = verified.from;
+  const ByteView payload = verified.payload.view();
   if (!cluster_.contains(from)) return;
   SignedBlock sb;
   try {
@@ -126,16 +118,10 @@ void Frontend::dispatch(runtime::ProcessId from, ByteView payload,
   if (sb.channel != options_.channel) return;  // another channel's chain
   if (m_.pushes_received != nullptr) m_.pushes_received->add();
   const std::uint64_t number = sb.block.header.number;
-  if (options_.deliver_in_order ? number < next_delivery_number_
-                                : delivered_numbers_.count(number) > 0) {
-    return;  // already delivered
-  }
+  if (number < next_delivery_number_) return;  // already delivered
 
   if (options_.verify_signatures &&
-      auth != runtime::Verified::Auth::accepted &&
-      (auth == runtime::Verified::Auth::rejected ||
-       !options_.verifier->verify(from, sb.block.header.digest(),
-                                  sb.signature))) {
+      verified.auth != runtime::Verified::Auth::accepted) {
     BFT_LOG(warn) << "frontend " << env().self() << ": bad block signature from "
                   << from;
     return;
@@ -153,11 +139,6 @@ void Frontend::dispatch(runtime::ProcessId from, ByteView payload,
   ledger::Block block = std::move(tally.block);
   tallies_.erase(number);
 
-  if (!options_.deliver_in_order) {
-    delivered_numbers_.insert(number);
-    deliver(block);
-    return;
-  }
   ready_.emplace(number, std::move(block));
   while (!ready_.empty() && ready_.begin()->first == next_delivery_number_) {
     deliver(ready_.begin()->second);

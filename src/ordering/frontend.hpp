@@ -28,8 +28,6 @@ struct FrontendOptions {
   bool weighted_quorum = false;
   /// Signature backend for verification (must match the nodes' backend).
   std::shared_ptr<BlockSigner> verifier;
-  /// Deliver blocks strictly in sequence order.
-  bool deliver_in_order = true;
   /// Record submit->delivery latency samples for tracked envelopes.
   bool track_latency = true;
   /// Register with the ordering nodes to receive block pushes. Submit-only
@@ -43,54 +41,6 @@ struct FrontendOptions {
   /// then aggregate. See OBSERVABILITY.md.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
-
-  // --- chainable setters (preferred construction style) ---
-  // Usually seeded from make_frontend_options(...) and then refined:
-  //   Frontend f(cluster, make_frontend_options(service, opts)
-  //                           .with_track_latency(false)
-  //                           .with_receive_blocks(false));
-  // Direct field assignment still compiles but is deprecated for new call
-  // sites; see the matching note on ordering::ServiceOptions.
-  FrontendOptions& with_channel(std::string v) {
-    channel = std::move(v);
-    return *this;
-  }
-  FrontendOptions& with_verify_signatures(bool v) {
-    verify_signatures = v;
-    return *this;
-  }
-  FrontendOptions& with_weighted_quorum(bool v) {
-    weighted_quorum = v;
-    return *this;
-  }
-  FrontendOptions& with_verifier(std::shared_ptr<BlockSigner> v) {
-    verifier = std::move(v);
-    return *this;
-  }
-  FrontendOptions& with_deliver_in_order(bool v) {
-    deliver_in_order = v;
-    return *this;
-  }
-  FrontendOptions& with_track_latency(bool v) {
-    track_latency = v;
-    return *this;
-  }
-  FrontendOptions& with_receive_blocks(bool v) {
-    receive_blocks = v;
-    return *this;
-  }
-  FrontendOptions& with_required_copies(std::size_t v) {
-    required_copies = v;
-    return *this;
-  }
-  FrontendOptions& with_metrics(obs::MetricsRegistry* reg) {
-    metrics = reg;
-    return *this;
-  }
-  FrontendOptions& with_trace(obs::TraceRing* ring) {
-    trace = ring;
-    return *this;
-  }
 };
 
 class Frontend : public runtime::Actor {
@@ -107,8 +57,9 @@ class Frontend : public runtime::Actor {
   /// construction-time state (options_, cluster_).
   runtime::Verified prologue(runtime::ProcessId from,
                              Payload payload) const override;
+  /// Phase 2: tallies a push. With verify_signatures, a copy counts only if
+  /// the prologue accepted its signature.
   void consume(runtime::Verified&& verified) override;
-  void on_message(runtime::ProcessId from, ByteView payload) override;
   void on_timer(std::uint64_t) override {}
 
   /// Relays one envelope to the ordering cluster (fire-and-forget broadcast,
@@ -134,8 +85,6 @@ class Frontend : public runtime::Actor {
 
   bool quorum_reached(const Tally& tally) const;
   void deliver(const ledger::Block& block);
-  void dispatch(runtime::ProcessId from, ByteView payload,
-                runtime::Verified::Auth auth);
 
   smr::ClusterConfig cluster_;
   FrontendOptions options_;
@@ -148,7 +97,6 @@ class Frontend : public runtime::Actor {
   std::map<std::uint64_t, std::map<std::string, Tally>> tallies_;
   std::uint64_t next_delivery_number_ = 1;
   std::map<std::uint64_t, ledger::Block> ready_;  // quorum reached, not in order yet
-  std::set<std::uint64_t> delivered_numbers_;     // out-of-order mode dedup
 
   struct Inflight {
     runtime::TimePoint at = 0;  // submit time

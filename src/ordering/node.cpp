@@ -178,7 +178,8 @@ void OrderingNode::emit_block(const std::string& channel, ChannelState& state,
 }
 
 void OrderingNode::sign_and_push(std::string channel, ledger::Block block,
-                                 TraceKeys keys) {
+                                 TraceKeys keys,
+                                 std::optional<runtime::ProcessId> to) {
   const crypto::Hash256 digest = block.header.digest();
   const std::uint64_t number = block.header.number;
   const BlockSigner* signer = signer_.get();
@@ -207,7 +208,7 @@ void OrderingNode::sign_and_push(std::string channel, ledger::Block block,
         }
         return signature;
       },
-      [this, replica, number, sign_submit_at, keys = std::move(keys),
+      [this, replica, number, sign_submit_at, to, keys = std::move(keys),
        channel = std::move(channel),
        block = std::move(block)](Bytes signature) mutable {
         const runtime::TimePoint now = replica->runtime_env().now();
@@ -228,7 +229,11 @@ void OrderingNode::sign_and_push(std::string channel, ledger::Block block,
         }
         const SignedBlock sb{std::move(channel), std::move(block),
                              std::move(signature)};
-        replica->push_to_receivers(sb.encode());
+        if (to.has_value()) {
+          replica->send_push(*to, sb.encode());
+        } else {
+          replica->push_to_receivers(sb.encode());
+        }
       });
 }
 
@@ -238,9 +243,21 @@ void OrderingNode::on_state_installed() {
   // frontends need matching copies from a quorum of nodes to deliver.
   // Re-announce the cached window with our own signature; frontends ignore
   // numbers they already delivered.
+  reannounce(std::nullopt);
+}
+
+void OrderingNode::on_receiver_registered(smr::Replica&,
+                                          runtime::ProcessId receiver) {
+  // A receiver that registers after blocks were cut (it started late, or its
+  // registration frame was delayed) missed their pushes and may never reach
+  // a delivery quorum for them. Send it the cached window, and only it.
+  reannounce(receiver);
+}
+
+void OrderingNode::reannounce(std::optional<runtime::ProcessId> to) {
   for (const auto& [name, state] : channels_) {
     for (const ledger::Block& block : state.recent_blocks) {
-      sign_and_push(name, block);
+      sign_and_push(name, block, {}, to);
     }
   }
 }

@@ -16,6 +16,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 
 #include "ledger/block.hpp"
 #include "ordering/blockcutter.hpp"
@@ -97,6 +98,8 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   // Replier: block dissemination replaces per-request replies entirely.
   void on_executed(smr::Replica&, const smr::Request&, const Bytes&,
                    const smr::ExecutionContext&) override {}
+  void on_receiver_registered(smr::Replica&,
+                              runtime::ProcessId receiver) override;
 
   std::uint64_t blocks_created() const { return blocks_created_; }
   std::uint64_t envelopes_ordered() const { return envelopes_ordered_; }
@@ -128,8 +131,13 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   ChannelState& channel_state(const std::string& name);
   void emit_block(const std::string& channel, ChannelState& state,
                   std::vector<Bytes> envelopes);
+  /// Signs `block` on the worker pool, then pushes it to `to`, or to every
+  /// registered receiver when `to` is empty.
   void sign_and_push(std::string channel, ledger::Block block,
-                     TraceKeys keys = {});
+                     TraceKeys keys = {},
+                     std::optional<runtime::ProcessId> to = std::nullopt);
+  /// Re-signs and re-pushes every channel's recent-block window.
+  void reannounce(std::optional<runtime::ProcessId> to);
   TraceKeys take_trace_keys(ChannelState& state);
   void arm_batch_timer();
   void send_cut_markers();

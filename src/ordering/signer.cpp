@@ -8,19 +8,16 @@ namespace bft::ordering {
 
 EcdsaBlockSigner::EcdsaBlockSigner(runtime::ProcessId node,
                                    runtime::Duration cost_hint)
-    : node_(node),
-      auth_(crypto::make_process_authenticator(node)),
-      cost_hint_(cost_hint) {}
+    : auth_(node), cost_hint_(cost_hint) {}
 
 Bytes EcdsaBlockSigner::sign(const crypto::Hash256& header_digest) const {
-  // Broadcast signature: the ECDSA backend ignores the counterparty id.
-  return auth_->sign_for(node_, header_digest);
+  return auth_.sign(header_digest);
 }
 
 bool EcdsaBlockSigner::verify(runtime::ProcessId signer,
                               const crypto::Hash256& header_digest,
                               ByteView signature) const {
-  return auth_->verify_from(signer, header_digest, signature);
+  return auth_.verify(signer, header_digest, signature);
 }
 
 CorruptingBlockSigner::CorruptingBlockSigner(std::shared_ptr<BlockSigner> inner)

@@ -34,10 +34,8 @@ class BlockSigner {
   virtual runtime::Duration cost_hint() const = 0;
 };
 
-/// Real ECDSA over secp256k1 with the node's deterministic process key.
-/// A thin adapter over crypto::Authenticator: block signatures are broadcast
-/// (no single counterparty), which the peer-agnostic ECDSA backend supports
-/// directly. See crypto/authenticator.hpp.
+/// Real ECDSA over secp256k1 with the node's deterministic process key: a
+/// thin adapter over crypto::Authenticator (crypto/authenticator.hpp).
 class EcdsaBlockSigner final : public BlockSigner {
  public:
   /// `node` is the signing node's process id; `cost_hint` defaults to the
@@ -51,8 +49,7 @@ class EcdsaBlockSigner final : public BlockSigner {
   runtime::Duration cost_hint() const override { return cost_hint_; }
 
  private:
-  runtime::ProcessId node_;
-  std::shared_ptr<const crypto::Authenticator> auth_;
+  crypto::Authenticator auth_;
   runtime::Duration cost_hint_;
 };
 

@@ -75,16 +75,11 @@ struct Verified {
   ProcessId from = 0;
   Payload payload;
 
-  /// Verdict of any signature checks the prologue performed.
-  enum class Auth : std::uint8_t {
-    /// The prologue did not check a signature (none present, or the actor
-    /// uses the default pass-through prologue): consume() must run its own
-    /// inline verification exactly as the single-phase path did.
-    unchecked = 0,
-    accepted,  // verified; consume() may skip the inline re-check
-    rejected,  // verification failed; consume() drops with a diagnostic
-  };
-  Auth auth = Auth::unchecked;
+  /// Verdict of the prologue's signature check. Fail-closed: consume()
+  /// drops any message that needs a signature unless the verdict is
+  /// `accepted`; kinds that carry no signature ignore it.
+  enum class Auth : std::uint8_t { rejected = 0, accepted };
+  Auth auth = Auth::rejected;
 
   /// Simulated CPU cost of the prologue work (decode + verify). The
   /// simulated runtime charges it to the prologue worker servers when the
@@ -107,10 +102,10 @@ struct Verified {
 ///   2. consume(Verified&&) — single-threaded, in protocol order; all state
 ///      mutation happens here.
 ///
-/// Actors that never verify anything in parallel just implement on_message:
-/// the default prologue passes the payload through unchecked and the default
-/// consume delegates to on_message, which is exactly the old single-phase
-/// behavior.
+/// Actors that verify no signatures just implement on_message: the default
+/// prologue passes the payload through and the default consume delegates to
+/// on_message. Actors that do verify override prologue and consume instead,
+/// and then have no on_message.
 class Actor {
  public:
   virtual ~Actor() = default;
@@ -132,8 +127,8 @@ class Actor {
     on_message(verified.from, verified.payload.view());
   }
 
-  /// Legacy single-phase handler; still the easiest way to write an actor
-  /// with no parallel-verification needs (the default consume() lands here).
+  /// Single-phase handler of actors that verify no signatures (the default
+  /// consume() lands here).
   virtual void on_message(ProcessId from, ByteView payload) {
     (void)from;
     (void)payload;

@@ -15,8 +15,7 @@ struct RealCluster::Process {
   /// Staged crypto pipeline: message prologues and submit_work jobs run on
   /// its workers; ordered epilogues land back in `inbox` as control items.
   /// Null when the process runs serially (worker_threads == 0).
-  std::unique_ptr<Runner> runner;
-  std::size_t runner_workers = 0;
+  std::unique_ptr<WorkerPoolRunner> runner;
   /// Prologues submitted to the runner but not yet finished — the staged
   /// half of the admission bound (the inbox bounds the epilogue half).
   std::atomic<std::uint64_t> staged{0};
@@ -122,11 +121,9 @@ void RealCluster::add_process(ProcessId id, Actor* actor,
   auto proc = std::make_unique<Process>(options_.inbox_capacity);
   proc->actor = actor;
   proc->env = std::make_unique<ProcessEnv>(*this, id, *proc);
-  proc->runner_workers = worker_threads;
   if (worker_threads > 0) {
     WorkerPoolRunnerOptions runner_options;
     runner_options.workers = worker_threads;
-    runner_options.first_core = options_.runner_first_core;
     runner_options.metrics = runner_metrics_;
     // Epilogues enter the inbox as control items: the sink is invoked in
     // sequence order and the inbox is FIFO, so consume order == arrival
@@ -147,11 +144,16 @@ void RealCluster::start() {
     (void)id;
     Process* p = proc.get();
     p->loop = std::thread([p] {
+      // on_start runs before the first inbox item: a transport may deliver
+      // frames before start() spawns this loop, and their handlers need the
+      // Env on_start installs.
+      if (!p->crashed.load(std::memory_order_relaxed)) {
+        p->actor->on_start(*p->env);
+      }
       while (auto fn = p->inbox.pop()) {
         if (!p->crashed.load(std::memory_order_relaxed)) (*fn)();
       }
     });
-    p->inbox.push([p] { p->actor->on_start(*p->env); });
   }
 }
 
@@ -201,7 +203,7 @@ void RealCluster::deliver_local(ProcessId from, ProcessId to, Payload payload) {
   Process& proc = *it->second;
   if (proc.runner == nullptr) {
     // Serial reference path: prologue + consume back-to-back on the event
-    // loop — the exact old single-phase semantics, including droppability.
+    // loop; the delivery is droppable like any message.
     Actor* actor = proc.actor;
     enqueue(
         to,

@@ -42,10 +42,6 @@ struct RealClusterOptions {
   /// runtime.inbox_depth / runtime.inbox_dropped plus the runner.* staged
   /// pipeline table; see OBSERVABILITY.md.
   obs::MetricsRegistry* metrics = nullptr;
-  /// When >= 0, each process's prologue workers are pinned starting at this
-  /// CPU core (worker i of every runner -> core first_core + i, mod the
-  /// hardware concurrency). -1 leaves placement to the OS.
-  int runner_first_core = -1;
 };
 
 class RealCluster {
@@ -66,7 +62,8 @@ class RealCluster {
   /// at the call site. Must be called before start().
   void add_process(ProcessId id, Actor* actor, std::size_t worker_threads = 2);
 
-  /// Spawns all event loops; each actor's on_start runs on its own loop.
+  /// Spawns all event loops. Each actor's on_start runs first on its own
+  /// loop, before anything delivered or posted to it earlier.
   void start();
   /// Stops loops and joins threads; idempotent.
   void stop();
@@ -80,9 +77,6 @@ class RealCluster {
   /// destinations are dropped. Thread-safe — this is the Transport's
   /// DeliverFn target.
   void deliver_local(ProcessId from, ProcessId to, Payload payload);
-
-  /// True when `id` is hosted by this cluster instance.
-  bool hosts(ProcessId id) const { return processes_.count(id) > 0; }
 
   /// Runs `fn` on the actor's own event-loop thread (e.g. to call methods on
   /// the actor without racing its handlers).

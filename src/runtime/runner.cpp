@@ -1,26 +1,9 @@
 #include "runtime/runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bft::runtime {
-
-void SerialRunner::submit(Prologue prologue) {
-  Epilogue epilogue;
-  try {
-    epilogue = prologue();
-  } catch (...) {
-    // Same containment contract as the pool: a throwing prologue consumes
-    // its slot and contributes no epilogue.
-  }
-  if (epilogue) sink_(std::move(epilogue));
-}
 
 RunnerMetrics RunnerMetrics::registered(obs::MetricsRegistry& registry) {
   RunnerMetrics m;
@@ -51,19 +34,7 @@ WorkerPoolRunner::WorkerPoolRunner(WorkerPoolRunnerOptions options,
   }
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-#if defined(__linux__)
-    if (options_.first_core >= 0) {
-      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET((static_cast<unsigned>(options_.first_core) + i) % cores, &set);
-      // Best-effort: a restricted affinity mask (cgroups) may reject the
-      // core; the worker then keeps the inherited mask.
-      (void)pthread_setaffinity_np(workers_.back().native_handle(),
-                                   sizeof(set), &set);
-    }
-#endif
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -97,7 +68,7 @@ void WorkerPoolRunner::drain() {
   });
 }
 
-void WorkerPoolRunner::worker_loop(std::size_t) {
+void WorkerPoolRunner::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });

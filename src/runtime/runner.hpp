@@ -7,14 +7,11 @@
 //     home (event-loop) thread, so protocol order is exactly what it would
 //     be under single-threaded execution.
 //
-// A Prologue returns its Epilogue; the runner guarantees epilogues are handed
-// to the sink in submission (sequence-number) order no matter how workers
-// interleave. Two implementations:
-//
-//   * SerialRunner — runs the prologue inline and sinks the epilogue
-//     immediately. The deterministic reference: `--workers 0` everywhere.
-//   * WorkerPoolRunner — N pinned worker threads run prologues concurrently;
-//     a sequence-numbered reorder buffer releases epilogues in order.
+// A Prologue returns its Epilogue; WorkerPoolRunner runs prologues on N
+// worker threads and a sequence-numbered reorder buffer hands epilogues to
+// the sink in submission order no matter how workers interleave. The serial
+// reference (`--workers 0`) needs no runner: the runtimes run prologue and
+// consume inline on the event loop.
 //
 // See DESIGN.md §10 for the pipeline diagram and OBSERVABILITY.md for the
 // runner.* metric catalogue.
@@ -44,36 +41,6 @@ using Prologue = std::function<Epilogue()>;
 /// that appends to a FIFO (an event-loop inbox) preserves protocol order.
 using EpilogueSink = std::function<void(Epilogue)>;
 
-class Runner {
- public:
-  virtual ~Runner() = default;
-
-  /// Stages one prologue. Thread-safe; the sequence slot is taken at call
-  /// time, so per-caller submission order is per-caller epilogue order.
-  virtual void submit(Prologue prologue) = 0;
-
-  /// Blocks until every submitted prologue has run and its epilogue has been
-  /// handed to the sink.
-  virtual void drain() = 0;
-
-  /// Number of concurrent prologue workers (0 for the serial runner).
-  virtual std::size_t worker_count() const = 0;
-};
-
-/// Deterministic reference implementation: prologue inline on the submitting
-/// thread, epilogue sunk before submit() returns.
-class SerialRunner final : public Runner {
- public:
-  explicit SerialRunner(EpilogueSink sink) : sink_(std::move(sink)) {}
-
-  void submit(Prologue prologue) override;
-  void drain() override {}
-  std::size_t worker_count() const override { return 0; }
-
- private:
-  EpilogueSink sink_;
-};
-
 /// Aggregate runner.* instrumentation, shareable across runner instances
 /// (RealCluster registers one set for all hosted processes). All pointers
 /// may be null (uninstrumented).
@@ -93,13 +60,10 @@ struct RunnerMetrics {
 
 struct WorkerPoolRunnerOptions {
   std::size_t workers = 2;
-  /// When >= 0, worker i is pinned to CPU core (first_core + i) modulo the
-  /// hardware concurrency (Linux only; a no-op elsewhere).
-  int first_core = -1;
   RunnerMetrics metrics;
 };
 
-/// Pool of pinned workers running prologues concurrently. Epilogues enter a
+/// Pool of workers running prologues concurrently. Epilogues enter a
 /// sequence-numbered reorder buffer and are released to the sink in exactly
 /// the order their prologues were submitted — an adversarial completion
 /// order (slow seq 3, instant seq 4) never reorders state mutation.
@@ -107,17 +71,23 @@ struct WorkerPoolRunnerOptions {
 /// A throwing prologue is contained: the exception is swallowed (counted in
 /// runner.prologue_exceptions) and the slot's epilogue becomes a no-op, so
 /// the sequence keeps advancing and later epilogues still release.
-class WorkerPoolRunner final : public Runner {
+class WorkerPoolRunner {
  public:
   WorkerPoolRunner(WorkerPoolRunnerOptions options, EpilogueSink sink);
-  ~WorkerPoolRunner() override;
+  ~WorkerPoolRunner();
 
   WorkerPoolRunner(const WorkerPoolRunner&) = delete;
   WorkerPoolRunner& operator=(const WorkerPoolRunner&) = delete;
 
-  void submit(Prologue prologue) override;
-  void drain() override;
-  std::size_t worker_count() const override { return options_.workers; }
+  /// Stages one prologue. Thread-safe; the sequence slot is taken at call
+  /// time, so per-caller submission order is per-caller epilogue order.
+  void submit(Prologue prologue);
+
+  /// Blocks until every submitted prologue has run and its epilogue has been
+  /// handed to the sink.
+  void drain();
+
+  std::size_t worker_count() const { return options_.workers; }
 
  private:
   struct Staged {
@@ -129,7 +99,7 @@ class WorkerPoolRunner final : public Runner {
     std::int64_t completed_ns = 0;  // reorder-wait measurement
   };
 
-  void worker_loop(std::size_t index);
+  void worker_loop();
   /// Releases every in-order epilogue; at most one thread sinks at a time so
   /// sink order == sequence order.
   void release_ready(std::unique_lock<std::mutex>& lock);

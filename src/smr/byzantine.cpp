@@ -73,8 +73,13 @@ void ByzantineReplica::on_start(runtime::Env& env) {
   inner_.on_start(*tamper_);
 }
 
-void ByzantineReplica::on_message(runtime::ProcessId from, ByteView payload) {
-  inner_.on_message(from, payload);
+runtime::Verified ByzantineReplica::prologue(runtime::ProcessId from,
+                                             Payload payload) const {
+  return inner_.prologue(from, std::move(payload));
+}
+
+void ByzantineReplica::consume(runtime::Verified&& verified) {
+  inner_.consume(std::move(verified));
 }
 
 void ByzantineReplica::on_timer(std::uint64_t timer_id) {

@@ -39,7 +39,11 @@ class ByzantineReplica final : public runtime::Actor {
   ~ByzantineReplica() override;
 
   void on_start(runtime::Env& env) override;
-  void on_message(runtime::ProcessId from, ByteView payload) override;
+  /// Both phases go to the inner replica, so inbound traffic takes the
+  /// verification path a correct replica takes.
+  runtime::Verified prologue(runtime::ProcessId from,
+                             Payload payload) const override;
+  void consume(runtime::Verified&& verified) override;
   void on_timer(std::uint64_t timer_id) override;
   void on_recover() override;
 

@@ -13,14 +13,6 @@ using consensus::Epoch;
 using consensus::ReplicaId;
 using runtime::ProcessId;
 
-crypto::PrivateKey process_signing_key(ProcessId id) {
-  return crypto::process_private_key(id);
-}
-
-const crypto::PublicKey& process_public_key(ProcessId id) {
-  return crypto::process_public_key(id);
-}
-
 Bytes encode_reconfig(ReconfigOp op, ProcessId node) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(op));
@@ -44,7 +36,7 @@ Replica::Replica(ProcessId self, ClusterConfig config, ReplicaParams params,
       params_(params),
       app_(app),
       replier_(replier),
-      authenticator_(crypto::make_process_authenticator(self)),
+      authenticator_(self),
       trace_(params.trace) {
   if (app_ == nullptr) throw std::invalid_argument("Replica: null state machine");
   if (params_.metrics != nullptr) {
@@ -152,9 +144,8 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
         v.prologue_cost = std::min(costs.request_prologue, costs.per_request);
         if (params_.sign_writes) {
           const Forward fwd = decode_forward(view);
-          v.auth = authenticator_->verify_from(from,
-                                               forward_digest(fwd.request),
-                                               fwd.signature)
+          v.auth = authenticator_.verify(from, forward_digest(fwd.request),
+                                         fwd.signature)
                        ? runtime::Verified::Auth::accepted
                        : runtime::Verified::Auth::rejected;
         }
@@ -169,7 +160,7 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
             std::min(costs.consensus_prologue, costs.per_consensus_msg);
         if (params_.sign_writes) {
           const WriteMsg msg = decode_write(view);
-          v.auth = authenticator_->verify_from(
+          v.auth = authenticator_.verify(
                        from,
                        consensus::write_attestation_digest(msg.cid, msg.epoch,
                                                            msg.hash),
@@ -187,26 +178,17 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
         break;  // uncharged kinds have no offloadable share
     }
   } catch (const DecodeError&) {
-    // Malformed message: let consume() take the full (serial) path so the
-    // diagnostic and the cost accounting match the single-phase behavior.
-    v.auth = runtime::Verified::Auth::unchecked;
+    // Malformed message: consume() charges the full cost and emits the
+    // diagnostic; the verdict stays `rejected`.
     v.prologue_cost = 0;
   }
   return v;
 }
 
 void Replica::consume(runtime::Verified&& verified) {
-  dispatch(verified.from, verified.payload.view(), verified.auth,
-           verified.prologue_charged);
-}
-
-void Replica::on_message(ProcessId from, ByteView payload) {
-  dispatch(from, payload, runtime::Verified::Auth::unchecked, 0);
-}
-
-void Replica::dispatch(ProcessId from, ByteView payload,
-                       runtime::Verified::Auth auth,
-                       runtime::Duration prologue_charged) {
+  const ProcessId from = verified.from;
+  const ByteView payload = verified.payload.view();
+  const runtime::Duration prologue_charged = verified.prologue_charged;
   // The runtime may have charged the prologue share of this handler to the
   // staged workers already; charge the remainder here so serial (charged ==
   // 0, one full-cost job) and staged totals agree.
@@ -224,7 +206,7 @@ void Replica::dispatch(ProcessId from, ByteView payload,
         break;
       case MsgKind::forward:
         charge_rest(params_.costs.per_request);
-        handle_forward(from, decode_forward(payload), auth);
+        handle_forward(from, decode_forward(payload), verified.auth);
         break;
       case MsgKind::propose:
         charge_rest(params_.costs.per_consensus_msg +
@@ -234,7 +216,7 @@ void Replica::dispatch(ProcessId from, ByteView payload,
         break;
       case MsgKind::write:
         charge_rest(params_.costs.per_consensus_msg);
-        handle_write(from, decode_write(payload), auth);
+        handle_write(from, decode_write(payload), verified.auth);
         break;
       case MsgKind::accept:
         charge_rest(params_.costs.per_consensus_msg);
@@ -270,7 +252,9 @@ void Replica::dispatch(ProcessId from, ByteView payload,
         handle_value_reply(from, decode_value_reply(payload));
         break;
       case MsgKind::register_receiver:
-        receivers_.insert(from);
+        if (receivers_.insert(from).second && replier_ != nullptr) {
+          replier_->on_receiver_registered(*this, from);
+        }
         break;
       default:
         break;  // not addressed to the replica role
@@ -303,8 +287,7 @@ void Replica::on_timer(std::uint64_t timer_id) {
           (void)key;
           Forward fwd{entry.request, {}};
           if (params_.sign_writes) {
-            fwd.signature =
-                authenticator_->sign_for(leader, forward_digest(fwd.request));
+            fwd.signature = authenticator_.sign(forward_digest(fwd.request));
           }
           env().send(leader, encode_forward(fwd));
           if (++sent >= params_.batch_max) break;
@@ -372,13 +355,9 @@ void Replica::handle_forward(ProcessId from, const Forward& fwd,
   // genuine request from that client.
   if (!config_.contains(from)) return;
   if (params_.sign_writes && auth != runtime::Verified::Auth::accepted) {
-    if (auth == runtime::Verified::Auth::rejected ||
-        !authenticator_->verify_from(from, forward_digest(fwd.request),
-                                     fwd.signature)) {
-      BFT_LOG(warn) << "replica " << self_ << ": bad FORWARD signature from "
-                    << from;
-      return;
-    }
+    BFT_LOG(warn) << "replica " << self_ << ": bad FORWARD signature from "
+                  << from;
+    return;
   }
   handle_request(from, fwd.request, true);
 }
@@ -513,8 +492,8 @@ void Replica::send_write_for(ConsensusId cid, Epoch epoch, const ValueHash& hash
   d.sent_write.insert(epoch);
   Bytes signature;
   if (params_.sign_writes) {
-    signature = authenticator_->sign_for(
-        self_, consensus::write_attestation_digest(cid, epoch, hash));
+    signature = authenticator_.sign(
+        consensus::write_attestation_digest(cid, epoch, hash));
   }
   broadcast(encode_write(WriteMsg{cid, epoch, hash, signature}));
   if (d.instance.on_write(epoch, config_.index_of(self_), hash,
@@ -528,14 +507,8 @@ void Replica::handle_write(ProcessId from, const WriteMsg& msg,
   if (!is_active_member() || !config_.contains(from)) return;
   if (!admit_consensus_cid(msg.cid)) return;
   if (params_.sign_writes && auth != runtime::Verified::Auth::accepted) {
-    if (auth == runtime::Verified::Auth::rejected ||
-        !authenticator_->verify_from(
-            from,
-            consensus::write_attestation_digest(msg.cid, msg.epoch, msg.hash),
-            msg.signature)) {
-      BFT_LOG(warn) << "replica " << self_ << ": bad WRITE signature from " << from;
-      return;
-    }
+    BFT_LOG(warn) << "replica " << self_ << ": bad WRITE signature from " << from;
+    return;
   }
   InstanceDriver& d = driver(msg.cid);
   if (d.instance.on_write(msg.epoch, config_.index_of(from), msg.hash,
@@ -1092,8 +1065,7 @@ void Replica::send_stopdata() {
       if (e == 0) break;
     }
   }
-  sd.signature =
-      authenticator_->sign_for(config_.leader(regency_), stopdata_digest(sd));
+  sd.signature = authenticator_.sign(stopdata_digest(sd));
 
   const ProcessId leader = config_.leader(regency_);
   const Bytes encoded = encode_stopdata(sd);
@@ -1110,8 +1082,8 @@ bool Replica::validate_stopdata(const StopData& sd, Epoch expected_epoch,
   if (!config_.contains(sd.from)) return false;
   StopData unsigned_copy = sd;
   unsigned_copy.signature.clear();
-  if (!authenticator_->verify_from(sd.from, stopdata_digest(unsigned_copy),
-                                   sd.signature)) {
+  if (!authenticator_.verify(sd.from, stopdata_digest(unsigned_copy),
+                             sd.signature)) {
     return false;
   }
   if (sd.cert.has_value()) {
@@ -1121,7 +1093,7 @@ bool Replica::validate_stopdata(const StopData& sd, Epoch expected_epoch,
     for (const auto& vote : cert.votes) {
       if (vote.from >= config_.n() || voters.count(vote.from) > 0) return false;
       if (params_.sign_writes) {
-        if (!authenticator_->verify_from(
+        if (!authenticator_.verify(
                 config_.member_at(vote.from),
                 consensus::write_attestation_digest(cert.cid, cert.epoch,
                                                     cert.hash),
@@ -1595,6 +1567,7 @@ void Replica::push_to_receivers(ByteView payload) {
 }
 
 void Replica::send_push(ProcessId to, ByteView payload) {
+  if (m_.pushes_sent != nullptr) m_.pushes_sent->add();
   env().send(to, encode_push(payload));
 }
 

@@ -30,14 +30,6 @@
 
 namespace bft::smr {
 
-/// Derives the (simulated PKI) signing key of a process from its id. Every
-/// node derives every other node's public key the same way; this stands in
-/// for certificate distribution, which the paper delegates to the HLF
-/// membership service. Thin aliases over crypto::process_private_key /
-/// crypto::process_public_key (authenticator.hpp), kept for existing callers.
-crypto::PrivateKey process_signing_key(runtime::ProcessId id);
-const crypto::PublicKey& process_public_key(runtime::ProcessId id);
-
 /// Membership-change payloads (RequestKind::reconfig).
 enum class ReconfigOp : std::uint8_t { add = 1, remove = 2 };
 Bytes encode_reconfig(ReconfigOp op, runtime::ProcessId node);
@@ -59,11 +51,9 @@ class Replica : public runtime::Actor {
   /// config_, which reconfiguration mutates on the consume thread.
   runtime::Verified prologue(runtime::ProcessId from,
                              Payload payload) const override;
-  /// Staged-pipeline phase 2: full dispatch in protocol order, honoring the
-  /// prologue's verdict (accepted skips the inline re-check, rejected drops).
+  /// Staged-pipeline phase 2: full dispatch in protocol order. A FORWARD or
+  /// WRITE is dropped unless the prologue accepted its signature.
   void consume(runtime::Verified&& verified) override;
-  /// Legacy single-phase entry: dispatch with no pre-verification.
-  void on_message(runtime::ProcessId from, ByteView payload) override;
   void on_timer(std::uint64_t timer_id) override;
   /// Warm restart after a crash fault: every timer armed before the crash is
   /// gone, so the liveness machinery (request forwarding, stall detection,
@@ -130,13 +120,6 @@ class Replica : public runtime::Actor {
   };
 
   // -- message handlers --
-  /// Shared dispatch behind on_message/consume. `auth` is the prologue's
-  /// verification verdict; `prologue_charged` is CPU cost the runtime
-  /// already charged to the prologue workers (subtracted from the inline
-  /// charge so serial and staged totals match).
-  void dispatch(runtime::ProcessId from, ByteView payload,
-                runtime::Verified::Auth auth,
-                runtime::Duration prologue_charged);
   void handle_request(runtime::ProcessId from, const Request& request,
                       bool forwarded);
   void handle_forward(runtime::ProcessId from, const Forward& fwd,
@@ -231,8 +214,8 @@ class Replica : public runtime::Actor {
   Replier* replier_;
   /// Single seam for every signature this replica produces or checks
   /// (FORWARD, WRITE, STOPDATA + certificates). Shared with the prologue
-  /// workers, so the implementation must be thread-safe.
-  std::shared_ptr<const crypto::Authenticator> authenticator_;
+  /// workers; its methods are thread-safe.
+  crypto::Authenticator authenticator_;
 
   consensus::Epoch regency_ = 0;
 

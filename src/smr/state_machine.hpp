@@ -76,6 +76,14 @@ class Replier {
   /// Called after each request executes. `reply` may be empty.
   virtual void on_executed(Replica& replica, const Request& request,
                            const Bytes& reply, const ExecutionContext& ctx) = 0;
+  /// Called when `receiver` registers for pushes for the first time. A
+  /// receiver that registers late has missed every earlier push; the
+  /// ordering node re-sends its recent blocks to it here.
+  virtual void on_receiver_registered(Replica& replica,
+                                      runtime::ProcessId receiver) {
+    (void)replica;
+    (void)receiver;
+  }
 };
 
 }  // namespace bft::smr

@@ -4,7 +4,7 @@
 
 #include "fabric/client.hpp"
 
-#include "smr/replica.hpp"
+#include "crypto/authenticator.hpp"
 
 namespace bft::fabric {
 namespace {
@@ -66,7 +66,7 @@ TEST(FabricPeerTest, EndorseProducesVerifiableSignature) {
   EXPECT_EQ(r.endorsement.peer, kPeerA);
   const auto sig = crypto::Signature::from_bytes(r.endorsement.signature);
   ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(smr::process_public_key(kPeerA).verify(
+  EXPECT_TRUE(crypto::process_public_key(kPeerA).verify(
       endorsement_digest(p, r.rwset), sig.value()));
 }
 
@@ -139,7 +139,7 @@ TEST(FabricPeerTest, EndorsementPolicyFailureDetected) {
   forged.endorsements.push_back(only_a.value().endorsement);
   forged.endorsements.push_back(Endorsement{kPeerB, Bytes(64, 0x11)});
   forged.client_signature =
-      smr::process_signing_key(kClient).sign(forged.signing_digest()).to_bytes();
+      crypto::process_private_key(kClient).sign(forged.signing_digest()).to_bytes();
   EXPECT_EQ(net.peer_a.validate(forged), TxValidation::endorsement_policy_failure);
 }
 
@@ -165,7 +165,7 @@ TEST(FabricPeerTest, TamperedRwsetWithResignedClientFailsPolicy) {
   Envelope evil = tx.value();
   evil.rwset.writes[0].value = to_bytes("999999");
   evil.client_signature =
-      smr::process_signing_key(kClient).sign(evil.signing_digest()).to_bytes();
+      crypto::process_private_key(kClient).sign(evil.signing_digest()).to_bytes();
   EXPECT_EQ(net.peer_a.validate(evil), TxValidation::endorsement_policy_failure);
 }
 

@@ -54,6 +54,24 @@ struct Deployment {
   }
 };
 
+// The wrapper runs the inner replica's prologue, so a WRITE reaches the
+// Byzantine node's protocol code only with a verified signature.
+TEST(ByzantineOrderingTest, ByzantineReplicaPrologueReturnsInnerVerdict) {
+  Service service = make_service(byzantine_options());
+  smr::ByzantineReplica byzantine(*service.nodes[0].replica,
+                                  smr::ByzantineBehavior::equivocate_proposals);
+  const consensus::ValueHash hash = consensus::value_hash(to_bytes("batch"));
+  const crypto::Hash256 digest = consensus::write_attestation_digest(1, 0, hash);
+  const smr::WriteMsg genuine{1, 0, hash, crypto::Authenticator(2).sign(digest)};
+  // Node 3 signs a WRITE that claims to come from node 2.
+  const smr::WriteMsg forged{1, 0, hash, crypto::Authenticator(3).sign(digest)};
+
+  EXPECT_EQ(byzantine.prologue(2, smr::encode_write(genuine)).auth,
+            runtime::Verified::Auth::accepted);
+  EXPECT_EQ(byzantine.prologue(2, smr::encode_write(forged)).auth,
+            runtime::Verified::Auth::rejected);
+}
+
 // One node emits invalid signatures over otherwise-correct blocks. A
 // frontend verifying per-sender signatures accepts once f+1 verified copies
 // match (footnote 8); the faulty node simply never contributes to any tally.

@@ -19,9 +19,11 @@
 // per-seed JSON exports (chaos_<seed>.json, schema in OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "ledger/chain.hpp"
@@ -286,6 +288,19 @@ ScenarioResult run_scenario(std::uint64_t seed) {
   return result;
 }
 
+/// Parses a whole decimal seed; nullopt for empty, signed, non-numeric,
+/// partly numeric or out-of-range text.
+std::optional<std::uint64_t> parse_seed(const std::string& text) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return value;
+}
+
 std::string join(const std::vector<std::string>& lines) {
   std::string out;
   for (const std::string& line : lines) {
@@ -298,7 +313,10 @@ std::string join(const std::vector<std::string>& lines) {
 TEST(ChaosSweepTest, RandomizedFaultScenariosPreserveInvariants) {
   std::vector<std::uint64_t> seeds;
   if (const char* env = std::getenv("BFT_CHAOS_SEED")) {
-    seeds.push_back(std::strtoull(env, nullptr, 10));
+    const std::optional<std::uint64_t> seed = parse_seed(env);
+    ASSERT_TRUE(seed.has_value())
+        << "BFT_CHAOS_SEED must be a decimal seed, got '" << env << "'";
+    seeds.push_back(*seed);
   } else {
     for (std::uint64_t seed = 1; seed <= 24; ++seed) seeds.push_back(seed);
   }
@@ -335,6 +353,15 @@ TEST(ChaosSweepTest, RandomizedFaultScenariosPreserveInvariants) {
       EXPECT_GT(result.tampered_sends, 0u);
       EXPECT_GE(result.max_honest_regency, 1u);
     }
+  }
+}
+
+TEST(ChaosSweepTest, SeedParsingRejectsNonNumericText) {
+  EXPECT_EQ(parse_seed("17"), std::optional<std::uint64_t>(17));
+  EXPECT_EQ(parse_seed("18446744073709551615"),
+            std::optional<std::uint64_t>(18446744073709551615ULL));
+  for (const char* bad : {"", "abc", "12x", "-3", " 5", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_seed(bad).has_value()) << "'" << bad << "'";
   }
 }
 

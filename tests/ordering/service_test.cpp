@@ -136,6 +136,31 @@ TEST(OrderingServiceTest, LeaderCrashRecoveredByRegencyChange) {
   EXPECT_TRUE(s.ledgers[0]->verify().is_ok());
 }
 
+// A frontend whose registration reaches the nodes only after blocks #1-#2
+// were cut and pushed (to nobody) still gets them: each node re-sends its
+// recent-block window to a receiver on its first registration.
+TEST(OrderingServiceTest, LateRegisteredReceiverGetsEarlierBlocks) {
+  SimService s(basic_options(4, 10), 1);
+  s.cluster.set_filter([](runtime::ProcessId, runtime::ProcessId,
+                          ByteView payload) {
+    return smr::peek_kind(payload) == smr::MsgKind::register_receiver
+               ? runtime::FilterVerdict(runtime::FilterAction::delay,
+                                        runtime::msec(500))
+               : runtime::FilterVerdict(runtime::FilterAction::deliver);
+  });
+  for (int i = 0; i < 20; ++i) {
+    s.submit_at(kMillisecond + i * kMillisecond, 0, envelope(i));
+  }
+  s.cluster.run_until(400 * kMillisecond);
+  EXPECT_EQ(s.service.nodes[0].app->blocks_created(), 2u);
+  EXPECT_EQ(s.ledgers[0]->height(), 0u);  // registration still in flight
+  s.cluster.run_until(2 * kSecond);
+  EXPECT_EQ(s.ledgers[0]->height(), 2u);
+  EXPECT_TRUE(s.ledgers[0]->verify().is_ok());
+  // Re-sent copies of a block count once: no envelope is delivered twice.
+  EXPECT_EQ(s.frontends[0]->delivered_envelopes(), 20u);
+}
+
 TEST(OrderingServiceTest, SignatureVerifyingFrontendNeedsOnlyFPlus1) {
   ServiceOptions options = basic_options(4, 10);
   Service probe = make_service(options);  // to borrow a verifier

@@ -38,31 +38,6 @@ struct OrderSink {
   }
 };
 
-TEST(SerialRunnerTest, SinksInline) {
-  OrderSink sink;
-  SerialRunner runner(sink.fn());
-  EXPECT_EQ(runner.worker_count(), 0u);
-  for (int i = 0; i < 5; ++i) {
-    runner.submit([&sink, i]() -> Epilogue {
-      return [&sink, i] { sink.record(i); };
-    });
-    // Inline by contract: the epilogue has run before submit() returned.
-    EXPECT_EQ(sink.snapshot().size(), static_cast<std::size_t>(i + 1));
-  }
-  runner.drain();
-  EXPECT_EQ(sink.snapshot(), (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(SerialRunnerTest, ContainsThrowingPrologue) {
-  OrderSink sink;
-  SerialRunner runner(sink.fn());
-  runner.submit([]() -> Epilogue { throw std::runtime_error("boom"); });
-  runner.submit([&sink]() -> Epilogue {
-    return [&sink] { sink.record(1); };
-  });
-  EXPECT_EQ(sink.snapshot(), std::vector<int>{1});
-}
-
 // Adversarial completion order: four prologues park on a gate and are
 // released 2, 0, 3, 1 — the reorder buffer must still hand epilogues to the
 // sink as 0, 1, 2, 3.

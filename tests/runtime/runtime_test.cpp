@@ -413,5 +413,45 @@ TEST(RealRuntimeTest, AddAfterStartThrows) {
   cluster.stop();
 }
 
+/// Records the order of on_start and message handling; like a replica's
+/// request handler, on_message needs the Env that on_start installs.
+class StartOrderProbe : public Actor {
+ public:
+  void on_start(Env& env) override {
+    Actor::on_start(env);
+    events_.push_back("start");
+  }
+  void on_message(ProcessId, ByteView payload) override {
+    events_.push_back("msg:" + to_string(payload) + "@" +
+                      std::to_string(env().self()));
+    handled_.fetch_add(1);
+  }
+  void on_timer(std::uint64_t) override {}
+
+  std::vector<std::string> events_;  // read after stop()
+  std::atomic<int> handled_{0};
+};
+
+// A transport can deliver frames before start() spawns the event loop
+// (TcpCluster starts its transport first). Such a frame must still be
+// handled, and only after on_start, on the serial and the staged path.
+TEST(RealRuntimeTest, FramesDeliveredBeforeStartRunAfterOnStart) {
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    RealCluster cluster;
+    StartOrderProbe probe;
+    cluster.add_process(5, &probe, workers);
+    cluster.deliver_local(0, 5, to_bytes("early"));
+    cluster.start();
+    for (int attempt = 0; attempt < 400 && probe.handled_.load() == 0;
+         ++attempt) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    cluster.stop();
+    EXPECT_EQ(probe.events_,
+              (std::vector<std::string>{"start", "msg:early@5"}));
+  }
+}
+
 }  // namespace
 }  // namespace bft::runtime
