@@ -19,12 +19,13 @@
 // per-seed JSON exports (chaos_<seed>.json, schema in OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "ledger/chain.hpp"
 #include "obs/export.hpp"
@@ -290,14 +291,11 @@ ScenarioResult run_scenario(std::uint64_t seed) {
 
 /// Parses a whole decimal seed; nullopt for empty, signed, non-numeric,
 /// partly numeric or out-of-range text.
-std::optional<std::uint64_t> parse_seed(const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
-  if (errno == ERANGE) return std::nullopt;
+std::optional<std::uint64_t> parse_seed(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) return std::nullopt;
   return value;
 }
 
