@@ -88,7 +88,7 @@ void CrashOrderingNode::on_message(runtime::ProcessId from, ByteView payload) {
 }
 
 void CrashOrderingNode::handle_request(ByteView payload) {
-  const smr::Request request = smr::decode_request(payload);
+  const smr::Request request = smr::decode<smr::Request>(payload);
   // Frontends wrap envelopes in OrderedPayload; this single-channel
   // baseline ignores markers and stores the inner envelope.
   Bytes envelope;
@@ -99,7 +99,7 @@ void CrashOrderingNode::handle_request(ByteView payload) {
   } catch (const DecodeError&) {
     envelope = request.payload;  // raw submission
   }
-  env().charge_cpu(options_.per_envelope_cost);
+  env().charge_cpu(kPerEnvelopeCost);
   const std::uint64_t seq = next_seq_++;
   const Payload append = Payload(encode_append(seq, envelope));
   log_[seq] = std::move(envelope);
@@ -117,7 +117,7 @@ void CrashOrderingNode::handle_append(runtime::ProcessId from, ByteView payload)
   const std::uint64_t seq = r.u64();
   Bytes envelope = r.bytes();
   r.expect_done();
-  env().charge_cpu(options_.per_envelope_cost);
+  env().charge_cpu(kPerEnvelopeCost);
   log_[seq] = std::move(envelope);
   env().send(from, encode_ack(seq));
 }

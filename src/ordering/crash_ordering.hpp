@@ -26,8 +26,6 @@ struct CrashOrderingOptions {
   std::size_t block_size = 10;
   bool stub_signatures = false;
   runtime::Duration signature_cost = runtime::usec(1905);
-  /// Simulated CPU charge per envelope handled.
-  runtime::Duration per_envelope_cost = runtime::usec(2);
 };
 
 class CrashOrderingNode : public runtime::Actor {

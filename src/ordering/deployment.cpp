@@ -59,12 +59,6 @@ NodeBundle make_bundle(const ServiceOptions& options,
 
 }  // namespace
 
-std::shared_ptr<BlockSigner> Service::make_verifier(
-    runtime::ProcessId node) const {
-  (void)node;
-  return nodes.empty() ? nullptr : nodes.front().signer;
-}
-
 Service make_service(const ServiceOptions& options) {
   if (options.nodes.empty()) {
     throw std::invalid_argument("make_service: need at least one node");

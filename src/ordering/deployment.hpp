@@ -54,10 +54,6 @@ struct NodeBundle {
 struct Service {
   smr::ClusterConfig cluster;
   std::vector<NodeBundle> nodes;
-
-  /// A signer/verifier equivalent to the nodes' backend, for frontends that
-  /// verify signatures.
-  std::shared_ptr<BlockSigner> make_verifier(runtime::ProcessId node) const;
 };
 
 /// Builds the node side of an ordering service. Caller registers each

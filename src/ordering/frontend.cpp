@@ -31,7 +31,7 @@ Frontend::Frontend(smr::ClusterConfig cluster, FrontendOptions options,
 void Frontend::on_start(runtime::Env& env) {
   Actor::on_start(env);
   if (!options_.receive_blocks) return;
-  const Payload registration = Payload(smr::encode_register_receiver());
+  const Payload registration = Payload(smr::encode(smr::RegisterReceiver{}));
   for (runtime::ProcessId node : cluster_.members()) {
     env.send(node, registration);
   }
@@ -53,13 +53,12 @@ void Frontend::submit(Bytes envelope) {
   payload.channel = options_.channel;
   payload.envelope = std::move(envelope);
   request.payload = payload.encode();
-  const Payload encoded = Payload(smr::encode_request(request));
+  const Payload encoded = Payload(smr::encode(request));
   for (runtime::ProcessId node : cluster_.members()) {
     env().send(node, encoded);
   }
   ++submitted_;
   if (m_.submitted != nullptr) m_.submitted->add();
-  if (first_submit_ < 0) first_submit_ = env().now();
 }
 
 bool Frontend::quorum_reached(const Tally& tally) const {
@@ -90,7 +89,8 @@ runtime::Verified Frontend::prologue(runtime::ProcessId from,
   try {
     const ByteView view = v.payload.view();
     if (smr::peek_kind(view) != smr::MsgKind::push) return v;
-    const SignedBlock sb = SignedBlock::decode(smr::decode_push(view));
+    const SignedBlock sb =
+        SignedBlock::decode(smr::decode<smr::Push>(view).payload);
     if (sb.channel != options_.channel) return v;
     v.auth = options_.verifier->verify(from, sb.block.header.digest(),
                                        sb.signature)
@@ -109,7 +109,7 @@ void Frontend::consume(runtime::Verified&& verified) {
   SignedBlock sb;
   try {
     if (smr::peek_kind(payload) != smr::MsgKind::push) return;
-    sb = SignedBlock::decode(smr::decode_push(payload));
+    sb = SignedBlock::decode(smr::decode<smr::Push>(payload).payload);
   } catch (const DecodeError&) {
     BFT_LOG(warn) << "frontend " << env().self() << ": malformed push from " << from;
     return;

@@ -73,7 +73,6 @@ class Frontend : public runtime::Actor {
   std::uint64_t delivered_envelopes() const { return delivered_envelopes_; }
   /// Latency samples in milliseconds (own envelopes only).
   const Histogram& latencies() const { return latencies_; }
-  runtime::TimePoint first_submit_time() const { return first_submit_; }
   runtime::TimePoint last_delivery_time() const { return last_delivery_; }
 
  private:
@@ -106,7 +105,6 @@ class Frontend : public runtime::Actor {
   Histogram latencies_;
   std::uint64_t delivered_blocks_ = 0;
   std::uint64_t delivered_envelopes_ = 0;
-  runtime::TimePoint first_submit_ = -1;
   runtime::TimePoint last_delivery_ = -1;
 
   // Observability handles resolved once at construction (all null when no

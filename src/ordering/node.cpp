@@ -98,7 +98,7 @@ Bytes OrderingNode::execute(const smr::Request& request,
   if (replica_ == nullptr) {
     throw std::logic_error("OrderingNode: attach() was not called");
   }
-  replica_->runtime_env().charge_cpu(options_.per_envelope_cost);
+  replica_->runtime_env().charge_cpu(kPerEnvelopeCost);
 
   OrderedPayload payload;
   try {
@@ -155,11 +155,9 @@ void OrderingNode::emit_block(const std::string& channel, ChannelState& state,
     m_.block_fill->record(static_cast<std::int64_t>(fill));
   }
 
-  if (options_.push_cache_blocks > 0) {
-    state.recent_blocks.push_back(block);
-    while (state.recent_blocks.size() > options_.push_cache_blocks) {
-      state.recent_blocks.pop_front();
-    }
+  state.recent_blocks.push_back(block);
+  while (state.recent_blocks.size() > kPushCacheBlocks) {
+    state.recent_blocks.pop_front();
   }
 
   TraceKeys keys;
@@ -301,7 +299,7 @@ void OrderingNode::send_cut_markers() {
     marker_seq_ = std::max(marker_seq_ + 1, now);
     request.seq = marker_seq_;
     request.payload = marker.encode();
-    const Payload encoded = Payload(smr::encode_request(request));
+    const Payload encoded = Payload(smr::encode(request));
     if (m_.cut_markers != nullptr) m_.cut_markers->add();
     for (runtime::ProcessId member : replica_->config().members()) {
       replica_->runtime_env().send(member, encoded);

@@ -49,6 +49,10 @@ struct OrderedPayload {
   static OrderedPayload decode(ByteView data);
 };
 
+/// Simulated CPU charge per envelope handled by a node thread (BFT and
+/// crash-fault ordering nodes alike).
+inline constexpr runtime::Duration kPerEnvelopeCost = runtime::usec(2);
+
 struct OrderingNodeOptions {
   /// Channels may also be created on demand by the first envelope naming
   /// them (all replicas see the same ordered stream, so creation is
@@ -58,19 +62,9 @@ struct OrderingNodeOptions {
   std::size_t block_size = 10;
   /// Cut a partial block when envelopes wait longer than this (0 = never).
   runtime::Duration batch_timeout = 0;
-  /// Simulated CPU charge per envelope handled by the node thread.
-  runtime::Duration per_envelope_cost = runtime::usec(2);
   /// HLF 1.0 sometimes requires a second signature per block (footnote 10);
   /// when set, each block costs two signature computations.
   bool double_sign = false;
-  /// Recent blocks kept per channel for re-announcement after a state
-  /// transfer (0 disables). A node that skipped blocks while catching up
-  /// never pushed them, and frontends need matching copies from a quorum —
-  /// so on install it re-signs and re-pushes this window. The cache rides in
-  /// the snapshot (block content is deterministic, so checkpoint digests
-  /// still agree across replicas); it is the one bounded exception to the
-  /// keep-no-chain rule of footnote 9.
-  std::size_t push_cache_blocks = 16;
   /// Optional observability sinks (non-owning; must outlive the node). Null
   /// disables instrumentation. See OBSERVABILITY.md for the ordering.* names
   /// this node emits.
@@ -110,6 +104,15 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   std::vector<std::string> channels() const;
 
  private:
+  /// Recent blocks kept per channel for re-announcement after a state
+  /// transfer. A node that skipped blocks while catching up never pushed
+  /// them, and frontends need matching copies from a quorum — so on install
+  /// it re-signs and re-pushes this window. The cache rides in the snapshot
+  /// (block content is deterministic, so checkpoint digests still agree
+  /// across replicas); it is the one bounded exception to the keep-no-chain
+  /// rule of footnote 9.
+  static constexpr std::size_t kPushCacheBlocks = 16;
+
   struct ChannelState {
     explicit ChannelState(const std::string& name, std::size_t block_size)
         : cutter(block_size),
@@ -118,7 +121,8 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
     BlockCutter cutter;
     std::uint64_t next_block_number;
     crypto::Hash256 previous_header_hash;
-    std::deque<ledger::Block> recent_blocks;  // re-announcement window
+    // Last kPushCacheBlocks blocks, re-announced after a state transfer.
+    std::deque<ledger::Block> recent_blocks;
     // (client, seq) of the envelopes pending in `cutter`, kept only while
     // tracing. Local observability state, not replicated: a state transfer
     // rebuilds the cutter without keys, so pre-transfer envelopes simply go

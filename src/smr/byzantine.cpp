@@ -16,7 +16,7 @@ class ByzantineReplica::TamperEnv final : public runtime::Env {
   void send(runtime::ProcessId to, Payload payload) override {
     try {
       if (peek_kind(payload.view()) == MsgKind::propose) {
-        Propose proposal = decode_propose(payload.view());
+        Propose proposal = decode<Propose>(payload.view());
         if (proposal.epoch == 0) {
           if (owner_.behavior_ == ByzantineBehavior::mute_leader) {
             ++owner_.tampered_;
@@ -34,7 +34,7 @@ class ByzantineReplica::TamperEnv final : public runtime::Env {
           }
           proposal.value = batch.encode();
           ++owner_.tampered_;
-          outer_->send(to, encode_propose(proposal));
+          outer_->send(to, encode(proposal));
           return;
         }
       }

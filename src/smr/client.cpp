@@ -32,7 +32,7 @@ std::uint64_t Client::invoke(Bytes payload, ReplyCallback callback,
   request.payload = std::move(payload);
 
   Outstanding entry;
-  entry.encoded_request = encode_request(request);
+  entry.encoded_request = encode(request);
   entry.callback = std::move(callback);
   send_to_all(entry.encoded_request);
   outstanding_.emplace(request.seq, std::move(entry));
@@ -49,14 +49,14 @@ std::uint64_t Client::invoke_async(Bytes payload, RequestKind kind) {
   request.seq = next_seq_++;
   request.kind = kind;
   request.payload = std::move(payload);
-  send_to_all(encode_request(request));
+  send_to_all(encode(request));
   return request.seq;
 }
 
 void Client::on_message(runtime::ProcessId from, ByteView payload) {
   try {
     if (peek_kind(payload) != MsgKind::reply) return;
-    const Reply reply = decode_reply(payload);
+    const Reply reply = decode<Reply>(payload);
     const auto it = outstanding_.find(reply.client_seq);
     if (it == outstanding_.end()) return;
     if (!config_.contains(from)) return;

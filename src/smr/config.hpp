@@ -121,11 +121,6 @@ struct ReplicaParams {
   /// restore newest valid checkpoint -> verify the app's integrity digest ->
   /// replay the WAL suffix. Strictly one replica per store.
   storage::NodeStore* storage = nullptr;
-  /// State-transfer chunking: replies larger than `state_chunk_bytes` stream
-  /// in chunks with at most `state_chunk_window` unacknowledged per peer
-  /// (0 bytes = never chunk, always send whole replies).
-  std::uint32_t state_chunk_bytes = 64 * 1024;
-  std::uint32_t state_chunk_window = 4;
 };
 
 }  // namespace bft::smr

@@ -3,7 +3,6 @@
 #include "storage/store.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/log.hpp"
 
@@ -109,10 +108,7 @@ void Replica::on_recover() {
   transfer_timer_ = 0;
   sync_timer_ = 0;
   app_timers_.clear();
-  for (auto& [key, entry] : pending_) {
-    (void)key;
-    entry.inflight = false;  // batches in flight at the crash may be lost
-  }
+  pool_.clear_inflight();  // batches in flight at the crash may be lost
   if (transferring_) {
     transferring_ = false;
     begin_state_transfer();  // the reply collection died with the crash
@@ -143,7 +139,7 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
       case MsgKind::forward:
         v.prologue_cost = std::min(costs.request_prologue, costs.per_request);
         if (params_.sign_writes) {
-          const Forward fwd = decode_forward(view);
+          const Forward fwd = decode<Forward>(view);
           v.auth = authenticator_.verify(from, forward_digest(fwd.request),
                                          fwd.signature)
                        ? runtime::Verified::Auth::accepted
@@ -159,7 +155,7 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
         v.prologue_cost =
             std::min(costs.consensus_prologue, costs.per_consensus_msg);
         if (params_.sign_writes) {
-          const WriteMsg msg = decode_write(view);
+          const WriteMsg msg = decode<WriteMsg>(view);
           v.auth = authenticator_.verify(
                        from,
                        consensus::write_attestation_digest(msg.cid, msg.epoch,
@@ -202,54 +198,54 @@ void Replica::consume(runtime::Verified&& verified) {
         charge_rest(params_.costs.per_request +
                     static_cast<runtime::Duration>(payload.size()) *
                         params_.costs.per_value_byte);
-        handle_request(from, decode_request(payload), false);
+        handle_request(decode<Request>(payload), false);
         break;
       case MsgKind::forward:
         charge_rest(params_.costs.per_request);
-        handle_forward(from, decode_forward(payload), verified.auth);
+        handle_forward(from, decode<Forward>(payload), verified.auth);
         break;
       case MsgKind::propose:
         charge_rest(params_.costs.per_consensus_msg +
                     static_cast<runtime::Duration>(payload.size()) *
                         params_.costs.per_value_byte);
-        handle_propose(from, decode_propose(payload));
+        handle_propose(from, decode<Propose>(payload));
         break;
       case MsgKind::write:
         charge_rest(params_.costs.per_consensus_msg);
-        handle_write(from, decode_write(payload), verified.auth);
+        handle_write(from, decode<WriteMsg>(payload), verified.auth);
         break;
       case MsgKind::accept:
         charge_rest(params_.costs.per_consensus_msg);
-        handle_accept(from, decode_accept(payload));
+        handle_accept(from, decode<AcceptMsg>(payload));
         break;
       case MsgKind::stop:
-        handle_stop(from, decode_stop(payload));
+        handle_stop(from, decode<Stop>(payload));
         break;
       case MsgKind::stopdata:
-        handle_stopdata(from, decode_stopdata(payload));
+        handle_stopdata(from, decode<StopData>(payload));
         break;
       case MsgKind::sync:
-        handle_sync(from, decode_sync(payload));
+        handle_sync(from, decode<Sync>(payload));
         break;
       case MsgKind::state_request:
-        handle_state_request(from, decode_state_request(payload));
+        handle_state_request(from, decode<StateRequest>(payload));
         break;
       case MsgKind::state_reply:
-        handle_state_reply(from, decode_state_reply(payload), payload);
+        handle_state_reply(from, decode<StateReply>(payload));
         break;
       case MsgKind::state_chunk:
         charge(static_cast<runtime::Duration>(payload.size()) *
                params_.costs.per_value_byte);
-        handle_state_chunk(from, decode_state_chunk(payload));
+        handle_state_chunk(from, decode<StateChunk>(payload));
         break;
       case MsgKind::state_chunk_ack:
-        handle_state_chunk_ack(from, decode_state_chunk_ack(payload));
+        handle_state_chunk_ack(from, decode<StateChunkAck>(payload));
         break;
       case MsgKind::value_request:
-        handle_value_request(from, decode_value_request(payload));
+        handle_value_request(from, decode<ValueRequest>(payload));
         break;
       case MsgKind::value_reply:
-        handle_value_reply(from, decode_value_reply(payload));
+        handle_value_reply(from, decode<ValueReply>(payload));
         break;
       case MsgKind::register_receiver:
         if (receivers_.insert(from).second && replier_ != nullptr) {
@@ -277,20 +273,17 @@ void Replica::on_timer(std::uint64_t timer_id) {
   }
   if (timer_id == request_timer_) {
     request_timer_ = 0;
-    if (pending_.empty() || !is_active_member()) return;
+    if (pool_.empty() || !is_active_member()) return;
     if (!forwarded_phase_) {
       // First expiry: relay pending requests to the suspected-slow leader.
       const ProcessId leader = config_.leader(regency_);
       if (leader != self_) {
-        std::uint32_t sent = 0;
-        for (const auto& [key, entry] : pending_) {
-          (void)key;
-          Forward fwd{entry.request, {}};
+        for (Request& request : pool_.lowest_keys(params_.batch_max)) {
+          Forward fwd{std::move(request), {}};
           if (params_.sign_writes) {
             fwd.signature = authenticator_.sign(forward_digest(fwd.request));
           }
-          env().send(leader, encode_forward(fwd));
-          if (++sent >= params_.batch_max) break;
+          env().send(leader, encode(fwd));
         }
       }
       forwarded_phase_ = true;
@@ -299,9 +292,7 @@ void Replica::on_timer(std::uint64_t timer_id) {
     } else {
       // Second expiry: the leader is faulty; demand a regency change.
       forwarded_phase_ = false;
-      const Epoch next = std::max(
-          regency_, sent_stop_.empty() ? regency_ : *sent_stop_.rbegin()) + 1;
-      start_regency_change(next);
+      start_regency_change(next_stop_regency());
     }
     return;
   }
@@ -309,9 +300,7 @@ void Replica::on_timer(std::uint64_t timer_id) {
     sync_timer_ = 0;
     if (confirm_cursor_ < sync_cid_ && is_active_member()) {
       ++timeout_backoff_;
-      const Epoch next = std::max(
-          regency_, sent_stop_.empty() ? regency_ : *sent_stop_.rbegin()) + 1;
-      start_regency_change(next);
+      start_regency_change(next_stop_regency());
     }
     return;
   }
@@ -359,12 +348,10 @@ void Replica::handle_forward(ProcessId from, const Forward& fwd,
                   << from;
     return;
   }
-  handle_request(from, fwd.request, true);
+  handle_request(fwd.request, true);
 }
 
-void Replica::handle_request(ProcessId from, const Request& request,
-                             bool forwarded) {
-  (void)from;
+void Replica::handle_request(const Request& request, bool forwarded) {
   if (!is_active_member()) return;
   const auto it = executed_seqs_.find(request.client);
   if (it != executed_seqs_.end() && it->second.contains(request.seq)) {
@@ -374,16 +361,13 @@ void Replica::handle_request(ProcessId from, const Request& request,
       if (cache_it != reply_cache_.end()) {
         const auto reply_it = cache_it->second.find(request.seq);
         if (reply_it != cache_it->second.end()) {
-          env().send(request.client, encode_reply(reply_it->second));
+          env().send(request.client, encode(reply_it->second));
         }
       }
     }
     return;
   }
-  const RequestKey key{request.client, request.seq};
-  if (pending_.count(key) > 0) return;
-  pending_.emplace(key, PendingRequest{request, false});
-  pending_order_.push_back(key);
+  if (!pool_.add(request)) return;
   if (m_.requests_received != nullptr) m_.requests_received->add();
   update_pending_gauge();
   arm_request_timer();
@@ -392,26 +376,13 @@ void Replica::handle_request(ProcessId from, const Request& request,
 
 void Replica::maybe_propose() {
   if (transferring_ || sync_in_progress_ || !is_leader()) return;
-  // Drop already-consumed keys from the arrival queue's front.
-  while (!pending_order_.empty() && pending_.count(pending_order_.front()) == 0) {
-    pending_order_.pop_front();
-  }
   if (order_frontier_ < confirm_cursor_) order_frontier_ = confirm_cursor_;
   const ConsensusId next = order_frontier_ + 1;
   InstanceDriver& d = driver(next);
   if (d.proposed_by_me || d.instance.decided()) return;
 
-  Batch batch;
-  for (const RequestKey& key : pending_order_) {
-    const auto it = pending_.find(key);
-    if (it == pending_.end() || it->second.inflight) continue;
-    batch.requests.push_back(it->second.request);
-    if (batch.requests.size() >= params_.batch_max) break;
-  }
+  const Batch batch{pool_.take_batch(params_.batch_max)};
   if (batch.requests.empty()) return;
-  for (const Request& r : batch.requests) {
-    pending_.at({r.client, r.seq}).inflight = true;
-  }
   d.proposed_by_me = true;
   if (m_.batches_proposed != nullptr) m_.batches_proposed->add();
   if (m_.batch_size != nullptr) {
@@ -422,7 +393,7 @@ void Replica::maybe_propose() {
   charge(params_.costs.per_consensus_msg +
          static_cast<runtime::Duration>(value.size()) *
              params_.costs.per_value_byte);
-  broadcast(encode_propose(Propose{next, regency_, value}));
+  broadcast(encode(Propose{next, regency_, value}));
   accept_proposal(next, regency_, self_, std::move(value));
 }
 
@@ -495,7 +466,7 @@ void Replica::send_write_for(ConsensusId cid, Epoch epoch, const ValueHash& hash
     signature = authenticator_.sign(
         consensus::write_attestation_digest(cid, epoch, hash));
   }
-  broadcast(encode_write(WriteMsg{cid, epoch, hash, signature}));
+  broadcast(encode(WriteMsg{cid, epoch, hash, signature}));
   if (d.instance.on_write(epoch, config_.index_of(self_), hash,
                           std::move(signature))) {
     on_write_quorum(cid, epoch);
@@ -541,7 +512,7 @@ void Replica::on_write_quorum(ConsensusId cid, Epoch epoch) {
   }
   if (d.sent_accept.count(epoch) == 0) {
     d.sent_accept.insert(epoch);
-    broadcast(encode_accept(AcceptMsg{cid, epoch, *hash}));
+    broadcast(encode(AcceptMsg{cid, epoch, *hash}));
     if (d.instance.on_accept(epoch, config_.index_of(self_), *hash)) {
       on_decided(cid);
     }
@@ -620,7 +591,7 @@ void Replica::request_value(ConsensusId cid, const ValueHash& hash) {
   InstanceDriver& d = driver(cid);
   if (d.value_requested) return;
   d.value_requested = true;
-  broadcast(encode_value_request(ValueRequest{cid, hash}));
+  broadcast(encode(ValueRequest{cid, hash}));
 }
 
 void Replica::handle_value_request(ProcessId from, const ValueRequest& msg) {
@@ -628,14 +599,14 @@ void Replica::handle_value_request(ProcessId from, const ValueRequest& msg) {
   if (inst_it != instances_.end()) {
     const Bytes* value = inst_it->second.instance.value_for(msg.hash);
     if (value != nullptr) {
-      env().send(from, encode_value_reply(ValueReply{msg.cid, *value}));
+      env().send(from, encode(ValueReply{msg.cid, *value}));
       return;
     }
   }
   const auto dec_it = decided_values_.find(msg.cid);
   if (dec_it != decided_values_.end() &&
       consensus::value_hash(dec_it->second) == msg.hash) {
-    env().send(from, encode_value_reply(ValueReply{msg.cid, dec_it->second}));
+    env().send(from, encode(ValueReply{msg.cid, dec_it->second}));
   }
 }
 
@@ -684,7 +655,7 @@ void Replica::try_apply() {
         confirm_cursor_ = cid;
         try {
           const Batch batch = Batch::decode(it->second);
-          for (const Request& r : batch.requests) pending_.erase({r.client, r.seq});
+          for (const Request& r : batch.requests) pool_.erase(r.client, r.seq);
         } catch (const DecodeError&) {
         }
         if (tentative_hashes_.empty()) rollback_snapshot_.reset();
@@ -698,9 +669,7 @@ void Replica::try_apply() {
       rollback_and_replay();
     }
 
-    execute_batch(cid, it->second, false);
-    confirm_cursor_ = cid;
-    tentative_cursor_ = std::max(tentative_cursor_, cid);
+    execute_confirmed(cid, it->second);
     pending_tentative_.erase(cid);
     progressed = true;
     maybe_checkpoint();
@@ -735,6 +704,12 @@ void Replica::try_apply() {
   }
 }
 
+void Replica::execute_confirmed(ConsensusId cid, ByteView value) {
+  execute_batch(cid, value, false);
+  confirm_cursor_ = cid;
+  tentative_cursor_ = std::max(tentative_cursor_, cid);
+}
+
 void Replica::execute_batch(ConsensusId cid, ByteView value, bool tentative) {
   Batch batch;
   try {
@@ -755,7 +730,7 @@ void Replica::execute_batch(ConsensusId cid, ByteView value, bool tentative) {
       // Duplicate (ordered twice or replayed). Still consume the pending
       // entry: leaving it would re-propose the request forever, and the
       // stale wall starves younger requests out of every batch.
-      if (!tentative) pending_.erase({request.client, request.seq});
+      if (!tentative) pool_.erase(request.client, request.seq);
       continue;
     }
     executed.insert(request.seq);
@@ -776,10 +751,10 @@ void Replica::execute_batch(ConsensusId cid, ByteView value, bool tentative) {
       if (replier_ != nullptr) {
         replier_->on_executed(*this, request, reply, ctx);
       } else {
-        env().send(request.client, encode_reply(cache[request.seq]));
+        env().send(request.client, encode(cache[request.seq]));
       }
     }
-    if (!tentative) pending_.erase({request.client, request.seq});
+    if (!tentative) pool_.erase(request.client, request.seq);
   }
 }
 
@@ -802,24 +777,19 @@ void Replica::apply_reconfig(const Request& request) {
 
 void Replica::rollback_and_replay() {
   if (!rollback_snapshot_.has_value()) return;
+  // The snapshot was taken at an earlier confirm cursor: restoring it rewinds
+  // both cursors there, and the confirmed decisions since are re-applied.
+  const ConsensusId target = confirm_cursor_;
   restore_core_snapshot(*rollback_snapshot_);
   rollback_snapshot_.reset();
   tentative_hashes_.clear();
-  // Re-apply confirmed decisions past the snapshot point (the snapshot was
-  // taken at some earlier confirm cursor).
-  const ConsensusId target = confirm_cursor_;
-  // restore_core_snapshot reset confirm_cursor_ to the snapshot's cursor.
-  ConsensusId cursor = confirm_cursor_;
   replaying_ = true;
-  while (cursor < target) {
-    const auto it = decided_values_.find(cursor + 1);
+  while (confirm_cursor_ < target) {
+    const auto it = decided_values_.find(confirm_cursor_ + 1);
     if (it == decided_values_.end()) break;
-    execute_batch(cursor + 1, it->second, false);
-    ++cursor;
+    execute_confirmed(it->first, it->second);
   }
   replaying_ = false;
-  confirm_cursor_ = cursor;
-  tentative_cursor_ = cursor;
 }
 
 void Replica::maybe_checkpoint() {
@@ -901,9 +871,7 @@ void Replica::recover_from_storage() {
       store.replay(confirm_cursor_, [&](std::uint64_t cid, ByteView value) {
         Bytes& slot = decided_values_[cid];
         slot.assign(value.begin(), value.end());
-        execute_batch(cid, slot, false);
-        confirm_cursor_ = cid;
-        tentative_cursor_ = cid;
+        execute_confirmed(cid, slot);
       });
   replaying_ = false;
   if (restored || replayed > 0) {
@@ -982,11 +950,16 @@ void Replica::restore_core_snapshot(ByteView snapshot) {
 // Synchronization phase (STOP / STOPDATA / SYNC)
 // --------------------------------------------------------------------------
 
+Epoch Replica::next_stop_regency() const {
+  return std::max(regency_,
+                  sent_stop_.empty() ? regency_ : *sent_stop_.rbegin()) + 1;
+}
+
 void Replica::start_regency_change(Epoch next) {
   if (next <= regency_ || sent_stop_.count(next) > 0) return;
   sent_stop_.insert(next);
   stop_votes_[next].insert(self_);
-  broadcast(encode_stop(Stop{next, confirm_cursor_}));
+  broadcast(encode(Stop{next, confirm_cursor_}));
   BFT_LOG(info) << "replica " << self_ << ": STOP for regency " << next;
   // Check whether our own vote completes the quorum (tiny clusters).
   handle_stop(self_, Stop{next, confirm_cursor_});
@@ -1014,7 +987,7 @@ void Replica::handle_stop(ProcessId from, const Stop& msg) {
     sent_stop_.insert(msg.next_epoch);
     votes.insert(self_);
     indices.insert(config_.index_of(self_));
-    broadcast(encode_stop(Stop{msg.next_epoch, confirm_cursor_}));
+    broadcast(encode(Stop{msg.next_epoch, confirm_cursor_}));
   }
   if (q.is_quorum(indices)) {
     install_regency(msg.next_epoch);
@@ -1031,10 +1004,7 @@ void Replica::install_regency(Epoch next) {
   for (auto& [cid, d] : instances_) {
     if (!d.instance.decided() && cid > confirm_cursor_) d.proposed_by_me = false;
   }
-  for (auto& [key, entry] : pending_) {
-    (void)key;
-    entry.inflight = false;
-  }
+  pool_.clear_inflight();
   disarm_request_timer();
   forwarded_phase_ = false;
   if (sync_timer_ != 0) env().cancel_timer(sync_timer_);
@@ -1068,11 +1038,10 @@ void Replica::send_stopdata() {
   sd.signature = authenticator_.sign(stopdata_digest(sd));
 
   const ProcessId leader = config_.leader(regency_);
-  const Bytes encoded = encode_stopdata(sd);
   if (leader == self_) {
     handle_stopdata(self_, sd);
   } else {
-    env().send(leader, encoded);
+    env().send(leader, encode(sd));
   }
 }
 
@@ -1123,7 +1092,7 @@ void Replica::handle_stopdata(ProcessId from, const StopData& msg) {
     }
     return;
   }
-  sync_stopdata_blobs_[msg.from] = encode_stopdata(msg);
+  sync_stopdata_blobs_[msg.from] = encode(msg);
   if (msg.last_decided > confirm_cursor_) {
     // We are the sync leader but lag behind this sender: catch up first so a
     // quorum of STOPDATAs can reference the same slot.
@@ -1138,7 +1107,7 @@ void Replica::maybe_send_sync() {
   std::vector<std::pair<Bytes, StopData>> matching;
   std::set<ReplicaId> senders;
   for (const auto& [p, blob] : sync_stopdata_blobs_) {
-    const StopData sd = decode_stopdata(blob);
+    const StopData sd = decode<StopData>(blob);
     if (sd.cid != sync_cid_) continue;
     if (config_.contains(p)) {
       senders.insert(config_.index_of(p));
@@ -1181,14 +1150,7 @@ void Replica::maybe_send_sync() {
   } else {
     // Nothing certified: propose a fresh batch from our pending pool (may be
     // empty — the slot must still complete to unblock the pipeline).
-    Batch batch;
-    for (const RequestKey& key : pending_order_) {
-      const auto it = pending_.find(key);
-      if (it == pending_.end()) continue;
-      batch.requests.push_back(it->second.request);
-      if (batch.requests.size() >= params_.batch_max) break;
-    }
-    proposed = batch.encode();
+    proposed = Batch{pool_.oldest(params_.batch_max)}.encode();
   }
 
   Sync sync;
@@ -1199,7 +1161,7 @@ void Replica::maybe_send_sync() {
     sync.stopdata_blobs.push_back(blob);
   }
   sync.proposed_value = proposed;
-  broadcast(encode_sync(sync));
+  broadcast(encode(sync));
   handle_sync(self_, sync);
 }
 
@@ -1216,7 +1178,7 @@ void Replica::handle_sync(ProcessId from, const Sync& msg) {
   for (const Bytes& blob : msg.stopdata_blobs) {
     StopData sd;
     try {
-      sd = decode_stopdata(blob);
+      sd = decode<StopData>(blob);
     } catch (const DecodeError&) {
       return;
     }
@@ -1262,7 +1224,7 @@ void Replica::begin_state_transfer() {
   chunk_in_.clear();  // partially reassembled streams belong to an old round
   for (ProcessId member : config_.members()) {
     if (member != self_) {
-      env().send(member, encode_state_request(StateRequest{confirm_cursor_}));
+      env().send(member, encode(StateRequest{confirm_cursor_}));
     }
   }
   if (transfer_timer_ != 0) env().cancel_timer(transfer_timer_);
@@ -1285,10 +1247,8 @@ void Replica::handle_state_request(ProcessId from, const StateRequest& msg) {
 }
 
 void Replica::send_state_reply(ProcessId to, const StateReply& reply) {
-  Bytes encoded = encode_state_reply(reply);
-  const std::size_t chunk_bytes =
-      std::max<std::size_t>(1, params_.state_chunk_bytes);
-  if (encoded.size() <= chunk_bytes) {
+  Bytes encoded = encode(reply);
+  if (encoded.size() <= kStateChunkBytes) {
     env().send(to, std::move(encoded));
     return;
   }
@@ -1301,21 +1261,24 @@ void Replica::send_state_reply(ProcessId to, const StateReply& reply) {
   out.chunks.clear();
   out.next_to_send = 0;
   out.acked = 0;
-  for (std::size_t off = 0; off < encoded.size(); off += chunk_bytes) {
-    const std::size_t len = std::min(chunk_bytes, encoded.size() - off);
+  for (std::size_t off = 0; off < encoded.size(); off += kStateChunkBytes) {
+    const std::size_t len = std::min(kStateChunkBytes, encoded.size() - off);
     out.chunks.emplace_back(encoded.begin() + off, encoded.begin() + off + len);
   }
 
-  const std::uint32_t total = static_cast<std::uint32_t>(out.chunks.size());
-  const std::uint32_t window =
-      std::max<std::uint32_t>(1, params_.state_chunk_window);
-  while (out.next_to_send < total && out.next_to_send < window) {
-    StateChunk chunk{out.id, out.next_to_send, total,
-                     out.chunks[out.next_to_send]};
-    env().send(to, encode_state_chunk(chunk));
-    if (m_.state_chunks_sent != nullptr) m_.state_chunks_sent->add();
-    ++out.next_to_send;
+  while (out.next_to_send < out.chunks.size() &&
+         out.next_to_send < kStateChunkWindow) {
+    send_next_chunk(to, out);
   }
+}
+
+void Replica::send_next_chunk(ProcessId to, ChunkSendState& out) {
+  env().send(to, encode(StateChunk{
+                     out.id, out.next_to_send,
+                     static_cast<std::uint32_t>(out.chunks.size()),
+                     out.chunks[out.next_to_send]}));
+  if (m_.state_chunks_sent != nullptr) m_.state_chunks_sent->add();
+  ++out.next_to_send;
 }
 
 void Replica::handle_state_chunk_ack(ProcessId from, const StateChunkAck& msg) {
@@ -1328,14 +1291,7 @@ void Replica::handle_state_chunk_ack(ProcessId from, const StateChunkAck& msg) {
     chunk_out_.erase(it);  // stream fully delivered
     return;
   }
-  if (out.next_to_send < out.chunks.size()) {
-    StateChunk chunk{out.id, out.next_to_send,
-                     static_cast<std::uint32_t>(out.chunks.size()),
-                     out.chunks[out.next_to_send]};
-    env().send(from, encode_state_chunk(chunk));
-    if (m_.state_chunks_sent != nullptr) m_.state_chunks_sent->add();
-    ++out.next_to_send;
-  }
+  if (out.next_to_send < out.chunks.size()) send_next_chunk(from, out);
 }
 
 void Replica::handle_state_chunk(ProcessId from, const StateChunk& msg) {
@@ -1359,8 +1315,7 @@ void Replica::handle_state_chunk(ProcessId from, const StateChunk& msg) {
     ++in.received;
     if (m_.state_chunks_received != nullptr) m_.state_chunks_received->add();
   }
-  env().send(from, encode_state_chunk_ack(StateChunkAck{msg.transfer_id,
-                                                        msg.index}));
+  env().send(from, encode(StateChunkAck{msg.transfer_id, msg.index}));
   if (in.received < in.total) return;
 
   Bytes full;
@@ -1372,8 +1327,7 @@ void Replica::handle_state_chunk(ProcessId from, const StateChunk& msg) {
   }
   chunk_in_.erase(from);
   try {
-    const StateReply reply = decode_state_reply(full);
-    handle_state_reply(from, reply, full);
+    handle_state_reply(from, decode<StateReply>(full));
   } catch (const DecodeError&) {
     BFT_LOG(warn) << "replica " << self_
                   << ": reassembled state reply from " << from
@@ -1381,9 +1335,7 @@ void Replica::handle_state_chunk(ProcessId from, const StateChunk& msg) {
   }
 }
 
-void Replica::handle_state_reply(ProcessId from, const StateReply& msg,
-                                 ByteView raw) {
-  (void)raw;
+void Replica::handle_state_reply(ProcessId from, const StateReply& msg) {
   if (!transferring_ || from == self_) return;
   transfer_replies_[from] = msg;
   try_assemble_state();
@@ -1459,14 +1411,18 @@ void Replica::try_assemble_state() {
   // Nothing advances us. If every member answered, the transfer was
   // spurious; cancel it so proposing is not blocked forever.
   if (transfer_replies_.size() + 1 >= config_.n() && is_active_member()) {
-    transferring_ = false;
-    transfer_replies_.clear();
-    chunk_in_.clear();
-    if (transfer_timer_ != 0) {
-      env().cancel_timer(transfer_timer_);
-      transfer_timer_ = 0;
-    }
+    end_state_transfer();
     maybe_propose();
+  }
+}
+
+void Replica::end_state_transfer() {
+  transferring_ = false;
+  transfer_replies_.clear();
+  chunk_in_.clear();
+  if (transfer_timer_ != 0) {
+    env().cancel_timer(transfer_timer_);
+    transfer_timer_ = 0;
   }
 }
 
@@ -1492,53 +1448,29 @@ void Replica::adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
   // digest is computed on the freshly restored state), then each replayed
   // log entry write-ahead. The WAL accepts the upward cid jump; recovery
   // resumes from this checkpoint, so the jumped-over range never matters.
-  if (params_.storage != nullptr && snapshot_cid > 0) {
-    storage::Checkpoint cp;
-    cp.cid = snapshot_cid;
-    cp.integrity = app_->integrity_digest();
-    cp.snapshot = snapshot;
-    const Status written = params_.storage->write_checkpoint(cp);
-    if (!written.is_ok()) {
-      BFT_LOG(error) << "replica " << self_
-                     << ": transferred-state checkpoint persist failed: "
-                     << written.error();
-    }
-  }
+  persist_checkpoint();
 
   replaying_ = true;
   for (const LogEntry& entry : log) {
     if (entry.cid != confirm_cursor_ + 1) break;  // non-contiguous: stop
     persist_decision(entry.cid, entry.value);
     decided_values_[entry.cid] = entry.value;
-    execute_batch(entry.cid, entry.value, false);
-    confirm_cursor_ = entry.cid;
-    tentative_cursor_ = entry.cid;
+    execute_confirmed(entry.cid, entry.value);
   }
   replaying_ = false;
 
   // The transferred state may have executed requests we still hold as
   // pending (their execution happened inside the snapshot we jumped over);
   // drop them or we would keep proposing already-ordered requests.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const auto& [client, seq] = it->first;
-    const auto seq_it = executed_seqs_.find(client);
-    if (seq_it != executed_seqs_.end() && seq_it->second.contains(seq)) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pool_.erase_if([this](const Request& r) {
+    const auto it = executed_seqs_.find(r.client);
+    return it != executed_seqs_.end() && it->second.contains(r.seq);
+  });
 
   order_frontier_ = std::max(order_frontier_, confirm_cursor_);
   try_apply();  // consume any surviving post-transfer decisions
   regency_ = std::max(regency_, epoch_hint);
-  transferring_ = false;
-  transfer_replies_.clear();
-  chunk_in_.clear();
-  if (transfer_timer_ != 0) {
-    env().cancel_timer(transfer_timer_);
-    transfer_timer_ = 0;
-  }
+  end_state_transfer();
   app_->on_state_installed();
   if (!is_active_member()) {
     // Still a learner: keep polling until a reconfiguration admits us.
@@ -1572,7 +1504,7 @@ void Replica::send_push(ProcessId to, ByteView payload) {
 }
 
 void Replica::arm_request_timer() {
-  if (request_timer_ != 0 || pending_.empty() || !is_active_member()) return;
+  if (request_timer_ != 0 || pool_.empty() || !is_active_member()) return;
   forwarded_phase_ = false;
   request_timer_ = env().set_timer(params_.forward_timeout);
 }
@@ -1605,7 +1537,7 @@ void Replica::trace_batch(obs::TraceStage stage, ConsensusId cid,
 
 void Replica::update_pending_gauge() {
   if (m_.pending_requests != nullptr) {
-    m_.pending_requests->set(static_cast<std::int64_t>(pending_.size()));
+    m_.pending_requests->set(static_cast<std::int64_t>(pool_.size()));
   }
 }
 

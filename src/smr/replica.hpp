@@ -14,7 +14,6 @@
 //     registered receivers instead of answering invoking clients.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +24,7 @@
 #include "crypto/ecdsa.hpp"
 #include "runtime/actor.hpp"
 #include "smr/config.hpp"
+#include "smr/request_pool.hpp"
 #include "smr/state_machine.hpp"
 #include "smr/wire.hpp"
 
@@ -74,7 +74,7 @@ class Replica : public runtime::Actor {
   std::uint64_t executed_request_count() const { return executed_count_; }
   std::uint64_t decided_batch_count() const { return decided_count_; }
   bool state_transfer_in_progress() const { return transferring_; }
-  std::size_t pending_request_count() const { return pending_.size(); }
+  std::size_t pending_request_count() const { return pool_.size(); }
   /// Contiguously-executed sequence watermark for `client`: every seq up to
   /// and including the returned value has executed (0 if none).
   std::uint64_t last_executed_seq(std::uint32_t client) const {
@@ -99,12 +99,6 @@ class Replica : public runtime::Actor {
   std::uint64_t set_app_timer(runtime::Duration delay);
 
  private:
-  struct PendingRequest {
-    Request request;
-    bool inflight = false;  // included in an undecided proposal of ours
-  };
-  using RequestKey = std::pair<std::uint32_t, std::uint64_t>;  // client, seq
-
   struct InstanceDriver {
     explicit InstanceDriver(consensus::ConsensusId cid,
                             const consensus::QuorumSystem* q)
@@ -120,8 +114,7 @@ class Replica : public runtime::Actor {
   };
 
   // -- message handlers --
-  void handle_request(runtime::ProcessId from, const Request& request,
-                      bool forwarded);
+  void handle_request(const Request& request, bool forwarded);
   void handle_forward(runtime::ProcessId from, const Forward& fwd,
                       runtime::Verified::Auth auth);
   void handle_propose(runtime::ProcessId from, const Propose& msg);
@@ -132,8 +125,7 @@ class Replica : public runtime::Actor {
   void handle_stopdata(runtime::ProcessId from, const StopData& msg);
   void handle_sync(runtime::ProcessId from, const Sync& msg);
   void handle_state_request(runtime::ProcessId from, const StateRequest& msg);
-  void handle_state_reply(runtime::ProcessId from, const StateReply& msg,
-                          ByteView raw);
+  void handle_state_reply(runtime::ProcessId from, const StateReply& msg);
   void handle_state_chunk(runtime::ProcessId from, const StateChunk& msg);
   void handle_state_chunk_ack(runtime::ProcessId from,
                               const StateChunkAck& msg);
@@ -156,6 +148,8 @@ class Replica : public runtime::Actor {
 
   // -- execution pipeline --
   void try_apply();
+  /// Executes confirmed decision `cid` and advances both cursors to it.
+  void execute_confirmed(ConsensusId cid, ByteView value);
   void execute_batch(ConsensusId cid, ByteView value, bool tentative);
   void apply_reconfig(const Request& request);
   void rollback_and_replay();
@@ -173,6 +167,8 @@ class Replica : public runtime::Actor {
   void recover_from_storage();
 
   // -- synchronization phase --
+  /// The regency a new STOP demands: one past every regency seen or asked for.
+  consensus::Epoch next_stop_regency() const;
   void start_regency_change(consensus::Epoch next);
   void install_regency(consensus::Epoch next);
   void send_stopdata();
@@ -184,14 +180,16 @@ class Replica : public runtime::Actor {
   bool admit_consensus_cid(ConsensusId cid);
   void note_future_traffic(ConsensusId cid);
   void begin_state_transfer();
-  /// Sends `reply` to `to` — whole when it fits in one state_chunk_bytes
+  /// Sends `reply` to `to` — whole when it fits in one kStateChunkBytes
   /// frame, otherwise as an acked stream of StateChunk fragments with at
-  /// most state_chunk_window outstanding.
+  /// most kStateChunkWindow outstanding.
   void send_state_reply(runtime::ProcessId to, const StateReply& reply);
   /// Assembles the longest decided prefix vouched by f+1 replies; adopts it
   /// if it advances us. Cancels a spurious transfer when f+1 peers report
   /// nothing newer.
   void try_assemble_state();
+  /// Stops collecting replies and cancels the retry timer.
+  void end_state_transfer();
   void adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
                    const std::vector<LogEntry>& log,
                    consensus::Epoch epoch_hint);
@@ -219,9 +217,7 @@ class Replica : public runtime::Actor {
 
   consensus::Epoch regency_ = 0;
 
-  // Request pool: map for dedup plus FIFO arrival order.
-  std::map<RequestKey, PendingRequest> pending_;
-  std::deque<RequestKey> pending_order_;
+  RequestPool pool_;
 
   std::map<ConsensusId, InstanceDriver> instances_;
   ConsensusId order_frontier_ = 0;  // highest cid allowed to seed the next proposal
@@ -311,6 +307,8 @@ class Replica : public runtime::Actor {
     std::uint32_t received = 0;
     std::vector<Bytes> parts;
   };
+  /// Sends `out`'s next fragment to `to` and advances its send cursor.
+  void send_next_chunk(runtime::ProcessId to, ChunkSendState& out);
   std::map<runtime::ProcessId, ChunkSendState> chunk_out_;
   std::map<runtime::ProcessId, ChunkRecvState> chunk_in_;
   std::uint64_t next_transfer_id_ = 1;

@@ -1,0 +1,53 @@
+#include "smr/request_pool.hpp"
+
+namespace bft::smr {
+
+bool RequestPool::add(const Request& request) {
+  const Key key{request.client, request.seq};
+  if (index_.count(key) > 0) return false;
+  index_.emplace(key, arrivals_.insert(arrivals_.end(), Entry{request}));
+  return true;
+}
+
+void RequestPool::erase(std::uint32_t client, std::uint64_t seq) {
+  const auto it = index_.find({client, seq});
+  if (it == index_.end()) return;
+  arrivals_.erase(it->second);
+  index_.erase(it);
+}
+
+std::vector<Request> RequestPool::take_batch(std::size_t max) {
+  std::vector<Request> batch;
+  for (Entry& entry : arrivals_) {
+    if (batch.size() >= max) break;
+    if (entry.inflight) continue;
+    entry.inflight = true;
+    batch.push_back(entry.request);
+  }
+  return batch;
+}
+
+void RequestPool::clear_inflight() {
+  for (Entry& entry : arrivals_) entry.inflight = false;
+}
+
+std::vector<Request> RequestPool::oldest(std::size_t max) const {
+  std::vector<Request> batch;
+  for (const Entry& entry : arrivals_) {
+    if (batch.size() >= max) break;
+    batch.push_back(entry.request);
+  }
+  return batch;
+}
+
+std::vector<Request> RequestPool::lowest_keys(std::size_t max) const {
+  std::vector<Request> batch;
+  for (const auto& [key, entry] : index_) {
+    (void)key;
+    if (batch.size() >= max) break;
+    batch.push_back(entry->request);
+  }
+  return batch;
+}
+
+}  // namespace bft::smr

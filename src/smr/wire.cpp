@@ -69,19 +69,6 @@ void put_stopdata_core(Writer& w, const StopData& s) {
   w.bytes(s.value);
 }
 
-/// StateReply fields covered by the f+1-matching digest. The epoch is
-/// deliberately excluded: replicas at different regencies still agree on the
-/// decided prefix.
-void put_state_reply_core(Writer& w, const StateReply& s) {
-  w.u64(s.snapshot_cid);
-  w.bytes(s.snapshot);
-  w.u32(static_cast<std::uint32_t>(s.log.size()));
-  for (const LogEntry& e : s.log) {
-    w.u64(e.cid);
-    w.bytes(e.value);
-  }
-}
-
 }  // namespace
 
 MsgKind peek_kind(ByteView data) {
@@ -124,12 +111,7 @@ bool Request::operator==(const Request& other) const {
 Bytes Batch::encode() const {
   Writer w;
   w.u32(static_cast<std::uint32_t>(requests.size()));
-  for (const Request& r : requests) {
-    w.u32(r.client);
-    w.u64(r.seq);
-    w.u8(static_cast<std::uint8_t>(r.kind));
-    w.bytes(r.payload);
-  }
+  for (const Request& r : requests) put_request_body(w, r);
   return std::move(w).take();
 }
 
@@ -139,14 +121,7 @@ Batch Batch::decode(ByteView data) {
   const std::uint32_t count = r.u32();
   batch.requests.reserve(r.safe_reserve(count));
   for (std::uint32_t i = 0; i < count; ++i) {
-    Request req;
-    req.client = r.u32();
-    req.seq = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > 1) throw DecodeError("bad request kind");
-    req.kind = static_cast<RequestKind>(kind);
-    req.payload = r.bytes();
-    batch.requests.push_back(std::move(req));
+    batch.requests.push_back(get_request_body(r));
   }
   r.expect_done();
   return batch;
@@ -279,7 +254,13 @@ StateRequest Codec<StateRequest>::read_body(Reader& r) {
 }
 
 void Codec<StateReply>::write_body(Writer& w, const StateReply& v) {
-  put_state_reply_core(w, v);
+  w.u64(v.snapshot_cid);
+  w.bytes(v.snapshot);
+  w.u32(static_cast<std::uint32_t>(v.log.size()));
+  for (const LogEntry& e : v.log) {
+    w.u64(e.cid);
+    w.bytes(e.value);
+  }
   w.u32(v.epoch);
 }
 StateReply Codec<StateReply>::read_body(Reader& r) {
@@ -361,10 +342,7 @@ StateChunkAck Codec<StateChunkAck>::read_body(Reader& r) {
 crypto::Hash256 forward_digest(const Request& r) {
   Writer w;
   w.str("bft.forward");
-  w.u32(r.client);
-  w.u64(r.seq);
-  w.u8(static_cast<std::uint8_t>(r.kind));
-  w.bytes(r.payload);
+  put_request_body(w, r);
   return crypto::sha256(w.data());
 }
 
@@ -372,13 +350,6 @@ crypto::Hash256 stopdata_digest(const StopData& s) {
   Writer w;
   w.str("bft.stopdata");
   put_stopdata_core(w, s);
-  return crypto::sha256(w.data());
-}
-
-crypto::Hash256 state_reply_digest(const StateReply& s) {
-  Writer w;
-  w.str("bft.state");
-  put_state_reply_core(w, s);
   return crypto::sha256(w.data());
 }
 

@@ -57,8 +57,7 @@ bool kind_known(MsgKind kind);
 // encode<T>/decode<T> below own the framing conventions — leading kind byte,
 // full-consumption check, DecodeError on mismatch — so adding a message type
 // is one specialization, not another hand-rolled encode_*/decode_* pair with
-// its own copy of the kind handling. The named free functions further down
-// are thin convenience wrappers over this machinery.
+// its own copy of the kind handling.
 
 template <typename T>
 struct Codec;  // specialized for every wire message type
@@ -192,15 +191,13 @@ struct StateReply {
   std::vector<LogEntry> log;     // decisions after the snapshot
   Epoch epoch = 0;               // sender's current regency
 };
-/// Digest used to find f+1 matching state replies.
-crypto::Hash256 state_reply_digest(const StateReply& s);
 
-/// One fragment of an encoded StateReply. Replies larger than the sender's
-/// ReplicaParams::state_chunk_bytes stream as a sequence of chunks so a bulk
-/// checkpoint cannot monopolize a transport link; the receiver acks each
-/// fragment and the sender keeps at most state_chunk_window unacked chunks
-/// in flight per peer. Reassembled bytes decode as a regular StateReply, so
-/// chunking changes delivery, never the f+1 vouching logic.
+/// One fragment of an encoded StateReply. Replies larger than
+/// kStateChunkBytes stream as a sequence of chunks so a bulk checkpoint
+/// cannot monopolize a transport link; the receiver acks each fragment and
+/// the sender keeps at most kStateChunkWindow unacked chunks in flight per
+/// peer. Reassembled bytes decode as a regular StateReply, so chunking
+/// changes delivery, never the f+1 vouching logic.
 struct StateChunk {
   std::uint64_t transfer_id = 0;  // sender-local, fresh per reply stream
   std::uint32_t index = 0;        // 0-based fragment position
@@ -212,6 +209,13 @@ struct StateChunkAck {
   std::uint64_t transfer_id = 0;
   std::uint32_t index = 0;
 };
+
+/// Largest StateReply sent whole, and the fragment size of larger ones.
+/// Fragments carry 64 KiB each, so a receiver's 65 536-fragment cap admits
+/// replies up to 4 GiB.
+inline constexpr std::size_t kStateChunkBytes = 64 * 1024;
+/// Unacknowledged fragments in flight per peer.
+inline constexpr std::uint32_t kStateChunkWindow = 4;
 
 // --- decided-value recovery ---
 
@@ -266,52 +270,6 @@ BFT_SMR_DECLARE_CODEC(StateChunkAck, MsgKind::state_chunk_ack);
 
 #undef BFT_SMR_DECLARE_CODEC
 
-// --- named convenience wrappers (all framing goes through the codec) ---
-
-inline Bytes encode_request(const Request& r) { return encode(r); }
-inline Request decode_request(ByteView data) { return decode<Request>(data); }
-inline Bytes encode_forward(const Forward& f) { return encode(f); }
-inline Forward decode_forward(ByteView data) { return decode<Forward>(data); }
-inline Bytes encode_reply(const Reply& r) { return encode(r); }
-inline Reply decode_reply(ByteView data) { return decode<Reply>(data); }
-inline Bytes encode_propose(const Propose& p) { return encode(p); }
-inline Propose decode_propose(ByteView data) { return decode<Propose>(data); }
-inline Bytes encode_write(const WriteMsg& w) { return encode(w); }
-inline WriteMsg decode_write(ByteView data) { return decode<WriteMsg>(data); }
-inline Bytes encode_accept(const AcceptMsg& a) { return encode(a); }
-inline AcceptMsg decode_accept(ByteView data) { return decode<AcceptMsg>(data); }
-inline Bytes encode_stop(const Stop& s) { return encode(s); }
-inline Stop decode_stop(ByteView data) { return decode<Stop>(data); }
-inline Bytes encode_stopdata(const StopData& s) { return encode(s); }
-inline StopData decode_stopdata(ByteView data) { return decode<StopData>(data); }
-inline Bytes encode_sync(const Sync& s) { return encode(s); }
-inline Sync decode_sync(ByteView data) { return decode<Sync>(data); }
-inline Bytes encode_state_request(const StateRequest& s) { return encode(s); }
-inline StateRequest decode_state_request(ByteView data) {
-  return decode<StateRequest>(data);
-}
-inline Bytes encode_state_reply(const StateReply& s) { return encode(s); }
-inline StateReply decode_state_reply(ByteView data) {
-  return decode<StateReply>(data);
-}
-inline Bytes encode_value_request(const ValueRequest& v) { return encode(v); }
-inline ValueRequest decode_value_request(ByteView data) {
-  return decode<ValueRequest>(data);
-}
-inline Bytes encode_value_reply(const ValueReply& v) { return encode(v); }
-inline ValueReply decode_value_reply(ByteView data) {
-  return decode<ValueReply>(data);
-}
-inline Bytes encode_register_receiver() { return encode(RegisterReceiver{}); }
-inline Bytes encode_state_chunk(const StateChunk& c) { return encode(c); }
-inline StateChunk decode_state_chunk(ByteView data) {
-  return decode<StateChunk>(data);
-}
-inline Bytes encode_state_chunk_ack(const StateChunkAck& a) { return encode(a); }
-inline StateChunkAck decode_state_chunk_ack(ByteView data) {
-  return decode<StateChunkAck>(data);
-}
-
 /// Keeps the historical single-copy path: the payload view goes straight
 /// into the frame without an intermediate Push value.
 inline Bytes encode_push(ByteView payload) {
@@ -319,9 +277,6 @@ inline Bytes encode_push(ByteView payload) {
   w.u8(static_cast<std::uint8_t>(Codec<Push>::kKind));
   w.bytes(payload);
   return std::move(w).take();
-}
-inline Bytes decode_push(ByteView data) {
-  return decode<Push>(data).payload;
 }
 
 }  // namespace bft::smr

@@ -66,9 +66,9 @@ TEST(ByzantineOrderingTest, ByzantineReplicaPrologueReturnsInnerVerdict) {
   // Node 3 signs a WRITE that claims to come from node 2.
   const smr::WriteMsg forged{1, 0, hash, crypto::Authenticator(3).sign(digest)};
 
-  EXPECT_EQ(byzantine.prologue(2, smr::encode_write(genuine)).auth,
+  EXPECT_EQ(byzantine.prologue(2, smr::encode(genuine)).auth,
             runtime::Verified::Auth::accepted);
-  EXPECT_EQ(byzantine.prologue(2, smr::encode_write(forged)).auth,
+  EXPECT_EQ(byzantine.prologue(2, smr::encode(forged)).auth,
             runtime::Verified::Auth::rejected);
 }
 

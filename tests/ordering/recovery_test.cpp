@@ -80,11 +80,6 @@ TEST(OrderingRecoveryTest, IsolatedNodeCatchesUpViaChunkedTransfer) {
   options.replica_params.checkpoint_period = 4;
   options.replica_params.state_transfer_gap = 4;
   options.replica_params.stall_timeout = runtime::msec(500);
-  // Force streaming: any realistic snapshot blows past 256 bytes, so the
-  // laggard's catch-up must arrive as acked StateChunk fragments (window 2
-  // keeps several round trips in the exchange).
-  options.replica_params.state_chunk_bytes = 256;
-  options.replica_params.state_chunk_window = 2;
   obs::MetricsRegistry metrics;
   options.metrics = &metrics;
   options.metrics_node = 3;  // instrument the laggard
@@ -110,15 +105,23 @@ TEST(OrderingRecoveryTest, IsolatedNodeCatchesUpViaChunkedTransfer) {
     }
     return runtime::FilterAction::deliver;
   });
+  // Force streaming: the checkpoint the laggard catches up from carries the
+  // push cache's blocks, so 40 envelopes of 2 KiB take the reply past
+  // kStateChunkBytes and it must arrive as acked StateChunk fragments.
+  const auto envelope = [](int i) {
+    std::string text = "tx-" + std::to_string(i);
+    text.resize(2048, '.');
+    return to_bytes(text);
+  };
   for (int i = 0; i < 40; ++i) {
-    cluster.schedule_at((10 + i * 20) * kMillisecond, [&frontend, i] {
-      frontend.submit(to_bytes("tx-" + std::to_string(i)));
+    cluster.schedule_at((10 + i * 20) * kMillisecond, [&frontend, envelope, i] {
+      frontend.submit(envelope(i));
     });
   }
   for (int i = 40; i < 60; ++i) {
     cluster.schedule_at(3 * kSecond + (i - 40) * 20 * kMillisecond,
-                        [&frontend, i] {
-                          frontend.submit(to_bytes("tx-" + std::to_string(i)));
+                        [&frontend, envelope, i] {
+                          frontend.submit(envelope(i));
                         });
   }
   cluster.run_until(15 * kSecond);

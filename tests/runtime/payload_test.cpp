@@ -8,6 +8,7 @@
 #include "common/bytes.hpp"
 #include "runtime/real_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "read_on_loop.hpp"
 
 namespace bft::runtime {
 namespace {
@@ -100,9 +101,11 @@ TEST(PayloadTest, RealClusterFanOutSharesBuffer) {
   cluster.add_process(1, &probes[0]);
   cluster.add_process(2, &probes[1]);
   cluster.start();
-  for (int spins = 0;
-       spins < 400 && (probes[0].addresses_.empty() || probes[1].addresses_.empty());
-       ++spins) {
+  const auto received = [&](ProcessId id) {
+    const BufferProbe& probe = probes[id - 1];
+    return read_on_loop(cluster, id, [&] { return !probe.addresses_.empty(); });
+  };
+  for (int spins = 0; spins < 400 && !(received(1) && received(2)); ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   cluster.stop();

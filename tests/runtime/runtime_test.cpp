@@ -6,6 +6,7 @@
 
 #include "runtime/real_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "read_on_loop.hpp"
 
 namespace bft::runtime {
 namespace {
@@ -331,7 +332,10 @@ TEST(RealRuntimeTest, PingPongFifoOrder) {
   cluster.add_process(0, &pinger);
   cluster.add_process(1, &ponger);
   cluster.start();
-  for (int attempt = 0; attempt < 200 && pinger.replies().size() < 5; ++attempt) {
+  const auto replies = [&] {
+    return read_on_loop(cluster, 0, [&] { return pinger.replies().size(); });
+  };
+  for (int attempt = 0; attempt < 200 && replies() < 5; ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   cluster.stop();
@@ -358,7 +362,10 @@ TEST(RealRuntimeTest, SubmitWorkDeliversResultOnLoop) {
   Worker actor;
   cluster.add_process(0, &actor);
   cluster.start();
-  for (int attempt = 0; attempt < 200 && actor.result_.empty(); ++attempt) {
+  const auto done = [&] {
+    return read_on_loop(cluster, 0, [&] { return !actor.result_.empty(); });
+  };
+  for (int attempt = 0; attempt < 200 && !done(); ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   cluster.stop();
@@ -386,7 +393,10 @@ TEST(RealRuntimeTest, SendExternalInjectsMessages) {
   cluster.add_process(0, &sink);
   cluster.start();
   cluster.send_external(0, 1, to_bytes("ping:99"));
-  for (int attempt = 0; attempt < 200 && sink.replies().empty(); ++attempt) {
+  const auto replied = [&] {
+    return read_on_loop(cluster, 0, [&] { return !sink.replies().empty(); });
+  };
+  for (int attempt = 0; attempt < 200 && !replied(); ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   cluster.stop();

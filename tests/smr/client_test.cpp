@@ -15,12 +15,12 @@ class ScriptedReplica : public runtime::Actor {
  public:
   void on_message(runtime::ProcessId from, ByteView payload) override {
     if (peek_kind(payload) == MsgKind::request) {
-      requests.emplace_back(from, decode_request(payload));
+      requests.emplace_back(from, decode<Request>(payload));
     }
   }
   void on_timer(std::uint64_t) override {}
   void reply_to(runtime::ProcessId client, std::uint64_t seq, Bytes payload) {
-    env().send(client, encode_reply(Reply{seq, 1, std::move(payload)}));
+    env().send(client, encode(Reply{seq, 1, std::move(payload)}));
   }
   std::vector<std::pair<runtime::ProcessId, Request>> requests;
 };

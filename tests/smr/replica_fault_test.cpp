@@ -83,7 +83,7 @@ class EquivocatingLeader : public runtime::Actor {
   void on_message(runtime::ProcessId, ByteView payload) override {
     try {
       if (peek_kind(payload) != MsgKind::request) return;
-      const Request req = decode_request(payload);
+      const Request req = decode<Request>(payload);
       if (equivocated_) return;
       equivocated_ = true;
       // Send a different single-request batch to each follower.
@@ -96,7 +96,7 @@ class EquivocatingLeader : public runtime::Actor {
         forged.payload = std::move(w).take();
         Batch batch;
         batch.requests.push_back(forged);
-        env().send(member, encode_propose(Propose{1, 0, batch.encode()}));
+        env().send(member, encode(Propose{1, 0, batch.encode()}));
         ++variant;
       }
     } catch (const DecodeError&) {
@@ -258,7 +258,7 @@ TEST(ReplicaFaultTest, ForgedForwardCannotPoisonDeduplication) {
   forged.payload = delta_payload(999);
   for (runtime::ProcessId r = 0; r < 4; ++r) {
     // Unsigned, from a non-member (process 99): must be rejected outright.
-    h.send_raw_at(5 * kMillisecond, r, encode_forward(Forward{forged, {}}));
+    h.send_raw_at(5 * kMillisecond, r, encode(Forward{forged, {}}));
   }
   int completions = 0;
   for (int i = 0; i < 10; ++i) {

@@ -96,7 +96,7 @@ TEST(ReplicaTest, DuplicateClientRequestExecutedOnce) {
   dup.seq = 1;  // same as the first invocation
   dup.payload = delta_payload(10);
   for (std::uint32_t r = 0; r < 4; ++r) {
-    h.send_raw_at(500 * kMillisecond, r, encode_request(dup));
+    h.send_raw_at(500 * kMillisecond, r, encode(dup));
   }
   h.cluster.run_until(2 * kSecond);
   EXPECT_EQ(h.machines[0]->value(), 10u);
@@ -147,6 +147,64 @@ TEST(ReplicaTest, WheatTentativeExecutionAgreement) {
   for (const auto& r : h.replicas) {
     EXPECT_EQ(r->last_confirmed(), r->last_applied());
   }
+}
+
+TEST(ReplicaTest, TentativeRollbackReappliesConfirmedDecisions) {
+  // One real replica (process 1) among scripted peers 0, 2 and 3. It
+  // executes slots 1 and 2 tentatively, confirms slot 1, and then slot 2 is
+  // decided with a different value: the rollback rewinds to the snapshot
+  // taken before slot 1 and must re-apply slot 1 before executing the new
+  // slot 2.
+  ReplicaParams p = fast_params();
+  p.tentative_execution = true;
+  p.sign_writes = false;
+  const auto cfg = ClusterConfig::classic({0, 1, 2, 3});
+  runtime::SimCluster cluster(
+      sim::make_lan(101, kMillisecond / 10, sim::NetworkConfig{}, 5), 5);
+  RawSender peers[4];
+  for (runtime::ProcessId id : {0u, 2u, 3u}) cluster.add_process(id, &peers[id]);
+  CounterMachine machine;
+  Replica replica(1, cfg, p, &machine);
+  cluster.add_process(1, &replica, sim::CpuConfig{});
+
+  const auto batch = [](std::uint64_t seq, std::uint64_t delta) {
+    Request r;
+    r.client = 100;
+    r.seq = seq;
+    r.payload = delta_payload(delta);
+    return Batch{{r}}.encode();
+  };
+  const Bytes slot1 = batch(1, 1);
+  const Bytes slot2_tentative = batch(2, 10);
+  const Bytes slot2_decided = batch(3, 100);
+  const auto send_at = [&](int ms, runtime::ProcessId from, Bytes msg) {
+    cluster.schedule_at(ms * kMillisecond, [&peers, from, msg] {
+      peers[from].send_raw(1, msg);
+    });
+  };
+  const auto write_quorum = [&](int ms, ConsensusId cid, const Bytes& value) {
+    send_at(ms, 0, encode(Propose{cid, 0, value}));
+    for (runtime::ProcessId from : {0u, 2u}) {
+      send_at(ms + 1, from,
+              encode(WriteMsg{cid, 0, consensus::value_hash(value), {}}));
+    }
+  };
+  write_quorum(1, 1, slot1);
+  write_quorum(3, 2, slot2_tentative);
+  for (runtime::ProcessId from : {0u, 2u}) {
+    send_at(5, from, encode(AcceptMsg{1, 0, consensus::value_hash(slot1)}));
+  }
+  for (runtime::ProcessId from : {0u, 2u, 3u}) {
+    send_at(6, from,
+            encode(AcceptMsg{2, 0, consensus::value_hash(slot2_decided)}));
+  }
+  send_at(7, 2, encode(ValueReply{2, slot2_decided}));
+  cluster.run_until(100 * kMillisecond);
+
+  EXPECT_EQ(replica.last_confirmed(), 2u);
+  EXPECT_EQ(replica.last_applied(), 2u);
+  EXPECT_EQ(machine.value(), 101u);  // slot 1 (+1) then decided slot 2 (+100)
+  EXPECT_EQ(replica.last_executed_seq(100), 1u);
 }
 
 TEST(ReplicaTest, CheckpointsTruncateAndKeepWorking) {

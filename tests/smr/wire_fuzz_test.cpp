@@ -54,8 +54,8 @@ TEST(WireFuzzTest, Request) {
   r.client = 7;
   r.seq = 9;
   r.payload = to_bytes("payload");
-  fuzz_decoder([](ByteView d) { return decode_request(d); }, 1,
-               encode_request(r));
+  fuzz_decoder([](ByteView d) { return decode<Request>(d); }, 1,
+               encode(r));
 }
 
 TEST(WireFuzzTest, Batch) {
@@ -71,16 +71,16 @@ TEST(WireFuzzTest, Batch) {
 }
 
 TEST(WireFuzzTest, Propose) {
-  fuzz_decoder([](ByteView d) { return decode_propose(d); }, 3,
-               encode_propose(Propose{5, 1, to_bytes("value-bytes")}));
+  fuzz_decoder([](ByteView d) { return decode<Propose>(d); }, 3,
+               encode(Propose{5, 1, to_bytes("value-bytes")}));
 }
 
 TEST(WireFuzzTest, WriteAndAccept) {
   const ValueHash h = consensus::value_hash(to_bytes("v"));
-  fuzz_decoder([](ByteView d) { return decode_write(d); }, 4,
-               encode_write(WriteMsg{5, 1, h, to_bytes("sig")}));
-  fuzz_decoder([](ByteView d) { return decode_accept(d); }, 5,
-               encode_accept(AcceptMsg{5, 1, h}));
+  fuzz_decoder([](ByteView d) { return decode<WriteMsg>(d); }, 4,
+               encode(WriteMsg{5, 1, h, to_bytes("sig")}));
+  fuzz_decoder([](ByteView d) { return decode<AcceptMsg>(d); }, 5,
+               encode(AcceptMsg{5, 1, h}));
 }
 
 TEST(WireFuzzTest, StopDataWithCertificate) {
@@ -97,8 +97,8 @@ TEST(WireFuzzTest, StopDataWithCertificate) {
   sd.cert = cert;
   sd.value = to_bytes("v");
   sd.signature = to_bytes("sig");
-  fuzz_decoder([](ByteView d) { return decode_stopdata(d); }, 6,
-               encode_stopdata(sd));
+  fuzz_decoder([](ByteView d) { return decode<StopData>(d); }, 6,
+               encode(sd));
 }
 
 TEST(WireFuzzTest, Sync) {
@@ -107,7 +107,7 @@ TEST(WireFuzzTest, Sync) {
   sync.cid = 9;
   sync.stopdata_blobs = {to_bytes("blob-a"), to_bytes("blob-b")};
   sync.proposed_value = to_bytes("value");
-  fuzz_decoder([](ByteView d) { return decode_sync(d); }, 7, encode_sync(sync));
+  fuzz_decoder([](ByteView d) { return decode<Sync>(d); }, 7, encode(sync));
 }
 
 TEST(WireFuzzTest, StateReply) {
@@ -116,8 +116,8 @@ TEST(WireFuzzTest, StateReply) {
   reply.snapshot = to_bytes("snapshot-bytes");
   reply.log.push_back({5, to_bytes("b5")});
   reply.epoch = 2;
-  fuzz_decoder([](ByteView d) { return decode_state_reply(d); }, 8,
-               encode_state_reply(reply));
+  fuzz_decoder([](ByteView d) { return decode<StateReply>(d); }, 8,
+               encode(reply));
 }
 
 TEST(WireFuzzTest, LedgerBlock) {
