@@ -3,8 +3,8 @@
 // envelopes and prints every accepted block — a block is accepted only after
 // 2f+1 byte-identical signed copies arrive (f+1 with --verify).
 //
-//   bft_frontend --config cluster4.cfg --id 100 \
-//                --submit 20 --expect-blocks 2 [--verify] [--timeout-sec 30]
+//   bft_frontend --config cluster4.cfg --id 100 --submit 20
+//                --expect-blocks 2 [--verify] [--timeout-sec 30]
 //
 // Exits 0 once --expect-blocks blocks are delivered and chain-verified;
 // non-zero on timeout. With --submit 0 it runs as a passive receiver until

@@ -80,9 +80,6 @@ class TcpTransport final : public Transport {
   void stop() override;
   bool send(ProcessId from, ProcessId to, Payload frame) override;
 
-  /// Actual listening port (resolves a 0 port in the topology after start).
-  std::uint16_t listen_port() const { return listen_port_; }
-
   // --- introspection (tests) ---
   std::uint64_t reconnects() const { return reconnects_.load(); }
   std::uint64_t frame_errors() const { return frame_errors_.load(); }

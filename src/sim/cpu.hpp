@@ -62,8 +62,6 @@ class CpuModel {
 
   /// Current EWMA of the protocol thread's busy fraction, in [0, 1].
   double protocol_utilization() const { return utilization_; }
-  /// Time at which the protocol thread becomes idle.
-  SimTime protocol_ready_at() const { return protocol_free_; }
 
  private:
   CpuConfig config_;

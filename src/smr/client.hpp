@@ -44,8 +44,6 @@ class Client : public runtime::Actor {
   std::uint64_t invoke_async(Bytes payload,
                              RequestKind kind = RequestKind::application);
 
-  /// Replaces the target group (after a reconfiguration).
-  void set_config(ClusterConfig config) { config_ = std::move(config); }
   const ClusterConfig& config() const { return config_; }
 
   std::uint64_t completed_count() const { return completed_; }

@@ -36,7 +36,9 @@ Replica::Replica(ProcessId self, ClusterConfig config, ReplicaParams params,
       app_(app),
       replier_(replier),
       authenticator_(self),
-      trace_(params.trace) {
+      trace_(params.trace),
+      transfer_(*this, params_),
+      sync_(*this, transfer_, params_, authenticator_) {
   if (app_ == nullptr) throw std::invalid_argument("Replica: null state machine");
   if (params_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *params_.metrics;
@@ -52,12 +54,6 @@ Replica::Replica(ProcessId self, ClusterConfig config, ReplicaParams params,
         "smr.pushes_sent", "custom-replier pushes (one per block per receiver)");
     m_.regency_changes =
         &reg.counter("smr.regency_changes", "synchronization-phase completions");
-    m_.state_transfers =
-        &reg.counter("smr.state_transfers", "state transfers started");
-    m_.state_chunks_sent = &reg.counter(
-        "smr.state_chunks_sent", "StateReply fragments streamed to peers");
-    m_.state_chunks_received = &reg.counter(
-        "smr.state_chunks_received", "StateReply fragments reassembled");
     m_.pending_requests =
         &reg.gauge("smr.pending_requests", "request-pool depth");
     m_.batch_size =
@@ -88,7 +84,7 @@ void Replica::on_start(runtime::Env& env) {
   if (!is_active_member()) {
     // Joining node: poll the cluster for state until a reconfiguration
     // admits us (§5.2).
-    begin_state_transfer();
+    transfer_.begin();
   }
 }
 
@@ -103,75 +99,71 @@ void Replica::on_recover() {
   // for the regency-change machinery to resolve.
   request_timer_ = 0;
   forwarded_phase_ = false;
-  stall_timer_ = 0;
-  stall_anchor_cid_ = 0;
-  transfer_timer_ = 0;
-  sync_timer_ = 0;
   app_timers_.clear();
   pool_.clear_inflight();  // batches in flight at the crash may be lost
-  if (transferring_) {
-    transferring_ = false;
-    begin_state_transfer();  // the reply collection died with the crash
-  } else if (!is_active_member()) {
-    begin_state_transfer();  // learner resumes polling for admission
-  }
-  if (sync_in_progress_) {
-    sync_timer_ = env().set_timer(params_.sync_deadline);
-  }
+  transfer_.on_recover();
+  sync_.on_recover();
   arm_request_timer();
   maybe_propose();
   app_->on_recover();
 }
 
+namespace {
+
+/// Simulated CPU cost of handling one message: the full charge and the share
+/// the staged prologue may serve off the protocol thread (wire decode,
+/// digests, signature checks). nullopt for uncharged kinds.
+struct HandlingCost {
+  runtime::Duration full;
+  runtime::Duration prologue;
+};
+std::optional<HandlingCost> handling_cost(const CostModel& c, MsgKind kind,
+                                          std::size_t size) {
+  const auto bytes = static_cast<runtime::Duration>(size) * c.per_value_byte;
+  const auto request = std::min(c.request_prologue, c.per_request);
+  const auto consensus = std::min(c.consensus_prologue, c.per_consensus_msg);
+  switch (kind) {
+    case MsgKind::request:
+      return HandlingCost{c.per_request + bytes, request + bytes};
+    case MsgKind::forward:
+      return HandlingCost{c.per_request, request};
+    case MsgKind::propose:
+      return HandlingCost{c.per_consensus_msg + bytes, consensus + bytes};
+    case MsgKind::write:
+    case MsgKind::accept:
+      return HandlingCost{c.per_consensus_msg, consensus};
+    case MsgKind::state_chunk:
+      return HandlingCost{bytes, 0};
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
 runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
   runtime::Verified v;
   v.from = from;
   v.payload = std::move(payload);
-  const CostModel& costs = params_.costs;
   const ByteView view = v.payload.view();
+  const auto verdict = [&](const crypto::Hash256& digest, ByteView signature) {
+    return authenticator_.verify(from, digest, signature)
+               ? runtime::Verified::Auth::accepted
+               : runtime::Verified::Auth::rejected;
+  };
   try {
-    switch (peek_kind(view)) {
-      case MsgKind::request:
-        v.prologue_cost =
-            std::min(costs.request_prologue, costs.per_request) +
-            static_cast<runtime::Duration>(view.size()) * costs.per_value_byte;
-        break;
-      case MsgKind::forward:
-        v.prologue_cost = std::min(costs.request_prologue, costs.per_request);
-        if (params_.sign_writes) {
-          const Forward fwd = decode<Forward>(view);
-          v.auth = authenticator_.verify(from, forward_digest(fwd.request),
-                                         fwd.signature)
-                       ? runtime::Verified::Auth::accepted
-                       : runtime::Verified::Auth::rejected;
-        }
-        break;
-      case MsgKind::propose:
-        v.prologue_cost =
-            std::min(costs.consensus_prologue, costs.per_consensus_msg) +
-            static_cast<runtime::Duration>(view.size()) * costs.per_value_byte;
-        break;
-      case MsgKind::write: {
-        v.prologue_cost =
-            std::min(costs.consensus_prologue, costs.per_consensus_msg);
-        if (params_.sign_writes) {
-          const WriteMsg msg = decode<WriteMsg>(view);
-          v.auth = authenticator_.verify(
-                       from,
-                       consensus::write_attestation_digest(msg.cid, msg.epoch,
-                                                           msg.hash),
-                       msg.signature)
-                       ? runtime::Verified::Auth::accepted
-                       : runtime::Verified::Auth::rejected;
-        }
-        break;
-      }
-      case MsgKind::accept:
-        v.prologue_cost =
-            std::min(costs.consensus_prologue, costs.per_consensus_msg);
-        break;
-      default:
-        break;  // uncharged kinds have no offloadable share
+    const MsgKind kind = peek_kind(view);
+    if (const auto cost = handling_cost(params_.costs, kind, view.size())) {
+      v.prologue_cost = cost->prologue;
+    }
+    if (params_.sign_writes && kind == MsgKind::forward) {
+      const Forward fwd = decode<Forward>(view);
+      v.auth = verdict(forward_digest(fwd.request), fwd.signature);
+    } else if (params_.sign_writes && kind == MsgKind::write) {
+      const WriteMsg msg = decode<WriteMsg>(view);
+      v.auth = verdict(
+          consensus::write_attestation_digest(msg.cid, msg.epoch, msg.hash),
+          msg.signature);
     }
   } catch (const DecodeError&) {
     // Malformed message: consume() charges the full cost and emits the
@@ -184,62 +176,52 @@ runtime::Verified Replica::prologue(ProcessId from, Payload payload) const {
 void Replica::consume(runtime::Verified&& verified) {
   const ProcessId from = verified.from;
   const ByteView payload = verified.payload.view();
-  const runtime::Duration prologue_charged = verified.prologue_charged;
-  // The runtime may have charged the prologue share of this handler to the
-  // staged workers already; charge the remainder here so serial (charged ==
-  // 0, one full-cost job) and staged totals agree.
-  const auto charge_rest = [&](runtime::Duration total) {
-    charge(total > prologue_charged ? total - prologue_charged
-                                    : runtime::Duration{0});
-  };
   try {
-    switch (peek_kind(payload)) {
+    const MsgKind kind = peek_kind(payload);
+    if (const auto cost = handling_cost(params_.costs, kind, payload.size())) {
+      // The runtime may have charged the prologue share to the staged
+      // workers already; charge the remainder so serial (charged == 0, one
+      // full-cost job) and staged totals agree.
+      charge(std::max(cost->full - verified.prologue_charged,
+                      runtime::Duration{0}));
+    }
+    switch (kind) {
       case MsgKind::request:
-        charge_rest(params_.costs.per_request +
-                    static_cast<runtime::Duration>(payload.size()) *
-                        params_.costs.per_value_byte);
         handle_request(decode<Request>(payload), false);
         break;
       case MsgKind::forward:
-        charge_rest(params_.costs.per_request);
         handle_forward(from, decode<Forward>(payload), verified.auth);
         break;
       case MsgKind::propose:
-        charge_rest(params_.costs.per_consensus_msg +
-                    static_cast<runtime::Duration>(payload.size()) *
-                        params_.costs.per_value_byte);
         handle_propose(from, decode<Propose>(payload));
         break;
       case MsgKind::write:
-        charge_rest(params_.costs.per_consensus_msg);
         handle_write(from, decode<WriteMsg>(payload), verified.auth);
         break;
       case MsgKind::accept:
-        charge_rest(params_.costs.per_consensus_msg);
         handle_accept(from, decode<AcceptMsg>(payload));
         break;
       case MsgKind::stop:
-        handle_stop(from, decode<Stop>(payload));
+        sync_.handle_stop(from, decode<Stop>(payload));
         break;
       case MsgKind::stopdata:
-        handle_stopdata(from, decode<StopData>(payload));
+        sync_.handle_stopdata(from, decode<StopData>(payload));
         break;
       case MsgKind::sync:
-        handle_sync(from, decode<Sync>(payload));
+        sync_.handle_sync(from, decode<Sync>(payload));
         break;
       case MsgKind::state_request:
-        handle_state_request(from, decode<StateRequest>(payload));
+        (void)decode<StateRequest>(payload);
+        handle_state_request(from);
         break;
       case MsgKind::state_reply:
-        handle_state_reply(from, decode<StateReply>(payload));
+        transfer_.handle_reply(from, decode<StateReply>(payload));
         break;
       case MsgKind::state_chunk:
-        charge(static_cast<runtime::Duration>(payload.size()) *
-               params_.costs.per_value_byte);
-        handle_state_chunk(from, decode<StateChunk>(payload));
+        transfer_.handle_chunk(from, decode<StateChunk>(payload));
         break;
       case MsgKind::state_chunk_ack:
-        handle_state_chunk_ack(from, decode<StateChunkAck>(payload));
+        transfer_.handle_chunk_ack(from, decode<StateChunkAck>(payload));
         break;
       case MsgKind::value_request:
         handle_value_request(from, decode<ValueRequest>(payload));
@@ -287,49 +269,15 @@ void Replica::on_timer(std::uint64_t timer_id) {
         }
       }
       forwarded_phase_ = true;
-      request_timer_ = env().set_timer(params_.stop_timeout
-                                       << std::min<std::uint32_t>(timeout_backoff_, 6));
+      request_timer_ = env().set_timer(sync_.backed_off(params_.stop_timeout));
     } else {
       // Second expiry: the leader is faulty; demand a regency change.
       forwarded_phase_ = false;
-      start_regency_change(next_stop_regency());
+      sync_.start_regency_change();
     }
     return;
   }
-  if (timer_id == sync_timer_) {
-    sync_timer_ = 0;
-    if (confirm_cursor_ < sync_cid_ && is_active_member()) {
-      ++timeout_backoff_;
-      start_regency_change(next_stop_regency());
-    }
-    return;
-  }
-  if (timer_id == stall_timer_) {
-    stall_timer_ = 0;
-    if (!transferring_ && is_active_member()) {
-      if (confirm_cursor_ == stall_anchor_cid_) {
-        // Others moved on while our next slot stayed undecided: fetch state.
-        begin_state_transfer();
-      } else if (!instances_.empty() &&
-                 instances_.rbegin()->first > confirm_cursor_) {
-        // We progressed but still trail slots with known traffic; keep
-        // watching (the traffic may already have dried up).
-        stall_anchor_cid_ = confirm_cursor_;
-        stall_timer_ = env().set_timer(params_.stall_timeout);
-      }
-    }
-    return;
-  }
-  if (timer_id == transfer_timer_) {
-    transfer_timer_ = 0;
-    if (transferring_) {
-      transferring_ = false;
-      begin_state_transfer();  // resend requests
-    } else if (!is_active_member()) {
-      begin_state_transfer();  // learner keeps polling
-    }
-    return;
-  }
+  if (!sync_.on_timer(timer_id)) transfer_.on_timer(timer_id);
 }
 
 // --------------------------------------------------------------------------
@@ -375,7 +323,7 @@ void Replica::handle_request(const Request& request, bool forwarded) {
 }
 
 void Replica::maybe_propose() {
-  if (transferring_ || sync_in_progress_ || !is_leader()) return;
+  if (transfer_.in_progress() || sync_.active() || !is_leader()) return;
   if (order_frontier_ < confirm_cursor_) order_frontier_ = confirm_cursor_;
   const ConsensusId next = order_frontier_ + 1;
   InstanceDriver& d = driver(next);
@@ -415,22 +363,22 @@ Replica::InstanceDriver& Replica::driver(ConsensusId cid) {
   return it->second;
 }
 
-bool Replica::admit_consensus_cid(ConsensusId cid) {
+bool Replica::admit_consensus_msg(ProcessId from, ConsensusId cid) {
+  if (!is_active_member() || !config_.contains(from)) return false;
   if (cid <= confirm_cursor_) return false;  // stale slot
   if (cid > confirm_cursor_ + params_.state_transfer_gap) {
-    begin_state_transfer();
+    transfer_.begin();
     // Keep recording votes within a bounded window so decisions reached
     // while the transfer is in flight are not lost; beyond it, drop
     // (Byzantine memory-exhaustion guard).
     if (cid > confirm_cursor_ + params_.state_transfer_gap * 8) return false;
   }
-  note_future_traffic(cid);
+  transfer_.note_future_traffic(cid);
   return true;
 }
 
 void Replica::handle_propose(ProcessId from, const Propose& msg) {
-  if (!is_active_member() || !config_.contains(from)) return;
-  if (!admit_consensus_cid(msg.cid)) return;
+  if (!admit_consensus_msg(from, msg.cid)) return;
   if (msg.epoch != regency_) return;  // old or future regency
   accept_proposal(msg.cid, msg.epoch, from, msg.value);
 }
@@ -475,8 +423,7 @@ void Replica::send_write_for(ConsensusId cid, Epoch epoch, const ValueHash& hash
 
 void Replica::handle_write(ProcessId from, const WriteMsg& msg,
                            runtime::Verified::Auth auth) {
-  if (!is_active_member() || !config_.contains(from)) return;
-  if (!admit_consensus_cid(msg.cid)) return;
+  if (!admit_consensus_msg(from, msg.cid)) return;
   if (params_.sign_writes && auth != runtime::Verified::Auth::accepted) {
     BFT_LOG(warn) << "replica " << self_ << ": bad WRITE signature from " << from;
     return;
@@ -495,7 +442,7 @@ void Replica::on_write_quorum(ConsensusId cid, Epoch epoch) {
   if (params_.tentative_execution && order_frontier_ < cid) {
     order_frontier_ = cid;  // WHEAT: pipeline the next proposal immediately
   }
-  if (sync_in_progress_ && cid == sync_cid_) sync_in_progress_ = false;
+  sync_.on_write_quorum(cid);
 
   const auto hash = d.instance.write_quorum_hash(epoch);
   if (d.write_quorum_at < 0) {
@@ -530,8 +477,7 @@ void Replica::on_write_quorum(ConsensusId cid, Epoch epoch) {
 }
 
 void Replica::handle_accept(ProcessId from, const AcceptMsg& msg) {
-  if (!is_active_member() || !config_.contains(from)) return;
-  if (!admit_consensus_cid(msg.cid)) return;
+  if (!admit_consensus_msg(from, msg.cid)) return;
   InstanceDriver& d = driver(msg.cid);
   if (d.instance.on_accept(msg.epoch, config_.index_of(from), msg.hash)) {
     on_decided(msg.cid);
@@ -541,7 +487,6 @@ void Replica::handle_accept(ProcessId from, const AcceptMsg& msg) {
 void Replica::on_decided(ConsensusId cid) {
   InstanceDriver& d = driver(cid);
   ++decided_count_;
-  timeout_backoff_ = 0;
   if (m_.batches_decided != nullptr) m_.batches_decided->add();
   const runtime::TimePoint decided_at = env().now();
   if (m_.propose_to_decide != nullptr && d.proposed_at >= 0) {
@@ -559,10 +504,7 @@ void Replica::on_decided(ConsensusId cid) {
     decided_awaiting_value_[cid] = hash;
     request_value(cid, hash);
   }
-  if (cid == sync_cid_ && sync_timer_ != 0) {
-    env().cancel_timer(sync_timer_);
-    sync_timer_ = 0;
-  }
+  sync_.on_decided(cid);
   if (!params_.tentative_execution && order_frontier_ < cid) {
     order_frontier_ = cid;
   }
@@ -595,13 +537,10 @@ void Replica::request_value(ConsensusId cid, const ValueHash& hash) {
 }
 
 void Replica::handle_value_request(ProcessId from, const ValueRequest& msg) {
-  const auto inst_it = instances_.find(msg.cid);
-  if (inst_it != instances_.end()) {
-    const Bytes* value = inst_it->second.instance.value_for(msg.hash);
-    if (value != nullptr) {
-      env().send(from, encode(ValueReply{msg.cid, *value}));
-      return;
-    }
+  const consensus::Instance* inst = instance(msg.cid);
+  if (const Bytes* value = inst ? inst->value_for(msg.hash) : nullptr) {
+    env().send(from, encode(ValueReply{msg.cid, *value}));
+    return;
   }
   const auto dec_it = decided_values_.find(msg.cid);
   if (dec_it != decided_values_.end() &&
@@ -627,7 +566,7 @@ void Replica::handle_value_reply(ProcessId from, const ValueReply& msg) {
     }
   }
   try_apply();
-  maybe_send_sync();  // a sync proposal may have been waiting on this value
+  sync_.maybe_send_sync();  // a SYNC may have been waiting on this value
 }
 
 // --------------------------------------------------------------------------
@@ -647,29 +586,24 @@ void Replica::try_apply() {
     // disk before any of its effects (execution, replies, block pushes).
     persist_decision(cid, it->second);
 
-    if (tentative_cursor_ >= cid) {
-      const auto applied = tentative_hashes_.find(cid);
-      if (applied != tentative_hashes_.end() && applied->second == decided_hash) {
-        // Tentative execution confirmed in place.
-        tentative_hashes_.erase(applied);
-        confirm_cursor_ = cid;
-        try {
-          const Batch batch = Batch::decode(it->second);
-          for (const Request& r : batch.requests) pool_.erase(r.client, r.seq);
-        } catch (const DecodeError&) {
-        }
-        if (tentative_hashes_.empty()) rollback_snapshot_.reset();
-        pending_tentative_.erase(cid);
-        progressed = true;
-        maybe_checkpoint();
-        continue;
+    const auto applied = tentative_hashes_.find(cid);
+    if (tentative_cursor_ >= cid && applied != tentative_hashes_.end() &&
+        applied->second == decided_hash) {
+      // Tentative execution confirmed in place.
+      tentative_hashes_.erase(applied);
+      confirm_cursor_ = cid;
+      try {
+        const Batch batch = Batch::decode(it->second);
+        for (const Request& r : batch.requests) pool_.erase(r.client, r.seq);
+      } catch (const DecodeError&) {
       }
-      // The decision contradicts what we executed tentatively: roll back to
-      // the confirmed prefix and fall through to a clean re-execution.
-      rollback_and_replay();
+      if (tentative_hashes_.empty()) rollback_snapshot_.reset();
+    } else {
+      // A decision contradicting what we executed tentatively rolls back to
+      // the confirmed prefix first; then the decision executes cleanly.
+      if (tentative_cursor_ >= cid) rollback_and_replay();
+      execute_confirmed(cid, it->second);
     }
-
-    execute_confirmed(cid, it->second);
     pending_tentative_.erase(cid);
     progressed = true;
     maybe_checkpoint();
@@ -695,12 +629,7 @@ void Replica::try_apply() {
     update_pending_gauge();
     disarm_request_timer();
     arm_request_timer();
-    if (sync_in_progress_ && confirm_cursor_ + 1 > sync_cid_) {
-      // Decisions caught up past the slot being synchronized: refresh our
-      // STOPDATA so the new leader synchronizes the right slot.
-      sync_cid_ = confirm_cursor_ + 1;
-      send_stopdata();
-    }
+    sync_.on_cursor_moved();
   }
 }
 
@@ -900,14 +829,10 @@ Bytes Replica::make_core_snapshot() const {
     for (const std::uint64_t seq : window.above) w.u64(seq);
   }
   std::size_t reply_entries = 0;
-  for (const auto& [client, cache] : reply_cache_) {
-    (void)client;
-    reply_entries += cache.size();
-  }
+  for (const auto& entry : reply_cache_) reply_entries += entry.second.size();
   w.u32(static_cast<std::uint32_t>(reply_entries));
   for (const auto& [client, cache] : reply_cache_) {
     for (const auto& [seq, reply] : cache) {
-      (void)seq;
       w.u32(client);
       w.u64(reply.client_seq);
       w.u64(reply.cid);
@@ -947,292 +872,29 @@ void Replica::restore_core_snapshot(ByteView snapshot) {
 }
 
 // --------------------------------------------------------------------------
-// Synchronization phase (STOP / STOPDATA / SYNC)
+// Consensus interface of the synchronization phase and state transfer
 // --------------------------------------------------------------------------
-
-Epoch Replica::next_stop_regency() const {
-  return std::max(regency_,
-                  sent_stop_.empty() ? regency_ : *sent_stop_.rbegin()) + 1;
-}
-
-void Replica::start_regency_change(Epoch next) {
-  if (next <= regency_ || sent_stop_.count(next) > 0) return;
-  sent_stop_.insert(next);
-  stop_votes_[next].insert(self_);
-  broadcast(encode(Stop{next, confirm_cursor_}));
-  BFT_LOG(info) << "replica " << self_ << ": STOP for regency " << next;
-  // Check whether our own vote completes the quorum (tiny clusters).
-  handle_stop(self_, Stop{next, confirm_cursor_});
-}
-
-void Replica::handle_stop(ProcessId from, const Stop& msg) {
-  if (!is_active_member()) return;
-  if (from != self_ && !config_.contains(from)) return;
-  // Catch-up hint: a peer that decided more than we did means we missed
-  // decisions; arm the stall detector even if this STOP itself is stale.
-  if (from != self_ && msg.last_decided > confirm_cursor_) {
-    note_future_traffic(msg.last_decided);
-  }
-  if (msg.next_epoch <= regency_) return;
-  auto& votes = stop_votes_[msg.next_epoch];
-  votes.insert(from);
-
-  std::set<ReplicaId> indices;
-  for (ProcessId p : votes) {
-    if (config_.contains(p)) indices.insert(config_.index_of(p));
-  }
-  const auto& q = config_.quorums();
-  if (q.is_evidence(indices) && sent_stop_.count(msg.next_epoch) == 0) {
-    // f+1-equivalent evidence: join the regency change.
-    sent_stop_.insert(msg.next_epoch);
-    votes.insert(self_);
-    indices.insert(config_.index_of(self_));
-    broadcast(encode(Stop{msg.next_epoch, confirm_cursor_}));
-  }
-  if (q.is_quorum(indices)) {
-    install_regency(msg.next_epoch);
-  }
-}
 
 void Replica::install_regency(Epoch next) {
   if (m_.regency_changes != nullptr) m_.regency_changes->add();
   regency_ = next;
-  sync_in_progress_ = true;
-  sync_cid_ = confirm_cursor_ + 1;
-  sync_stopdata_blobs_.clear();
-  stop_votes_.erase(stop_votes_.begin(), stop_votes_.upper_bound(next));
   for (auto& [cid, d] : instances_) {
     if (!d.instance.decided() && cid > confirm_cursor_) d.proposed_by_me = false;
   }
   pool_.clear_inflight();
   disarm_request_timer();
-  forwarded_phase_ = false;
-  if (sync_timer_ != 0) env().cancel_timer(sync_timer_);
-  sync_timer_ = env().set_timer(params_.sync_deadline
-                                << std::min<std::uint32_t>(timeout_backoff_, 6));
-  BFT_LOG(info) << "replica " << self_ << ": installed regency " << next
-                << " (leader " << config_.leader(next) << ")";
-  send_stopdata();
 }
 
-void Replica::send_stopdata() {
-  StopData sd;
-  sd.next_epoch = regency_;
-  sd.from = self_;
-  sd.last_decided = confirm_cursor_;
-  sd.cid = sync_cid_;
-  const auto inst_it = instances_.find(sync_cid_);
-  if (inst_it != instances_.end()) {
-    // Highest-epoch write certificate we gathered for the slot in question.
-    for (Epoch e = inst_it->second.instance.highest_epoch();; --e) {
-      auto cert = inst_it->second.instance.write_certificate(e);
-      if (cert.has_value()) {
-        const Bytes* value = inst_it->second.instance.value_for(cert->hash);
-        if (value != nullptr) sd.value = *value;
-        sd.cert = std::move(cert);
-        break;
-      }
-      if (e == 0) break;
-    }
-  }
-  sd.signature = authenticator_.sign(stopdata_digest(sd));
-
-  const ProcessId leader = config_.leader(regency_);
-  if (leader == self_) {
-    handle_stopdata(self_, sd);
-  } else {
-    env().send(leader, encode(sd));
-  }
+const consensus::Instance* Replica::instance(ConsensusId cid) const {
+  const auto it = instances_.find(cid);
+  return it == instances_.end() ? nullptr : &it->second.instance;
 }
 
-bool Replica::validate_stopdata(const StopData& sd, Epoch expected_epoch,
-                                ConsensusId expected_cid) const {
-  if (sd.next_epoch != expected_epoch || sd.cid != expected_cid) return false;
-  if (!config_.contains(sd.from)) return false;
-  StopData unsigned_copy = sd;
-  unsigned_copy.signature.clear();
-  if (!authenticator_.verify(sd.from, stopdata_digest(unsigned_copy),
-                             sd.signature)) {
-    return false;
-  }
-  if (sd.cert.has_value()) {
-    const auto& cert = *sd.cert;
-    if (cert.cid != sd.cid) return false;
-    std::set<ReplicaId> voters;
-    for (const auto& vote : cert.votes) {
-      if (vote.from >= config_.n() || voters.count(vote.from) > 0) return false;
-      if (params_.sign_writes) {
-        if (!authenticator_.verify(
-                config_.member_at(vote.from),
-                consensus::write_attestation_digest(cert.cid, cert.epoch,
-                                                    cert.hash),
-                vote.signature)) {
-          return false;
-        }
-      }
-      voters.insert(vote.from);
-    }
-    if (!config_.quorums().is_quorum(voters)) return false;
-    if (!sd.value.empty() && consensus::value_hash(sd.value) != cert.hash) {
-      return false;
-    }
-  }
-  return true;
+Bytes Replica::oldest_batch() const {
+  return Batch{pool_.oldest(params_.batch_max)}.encode();
 }
 
-void Replica::handle_stopdata(ProcessId from, const StopData& msg) {
-  if (!is_active_member() || config_.leader(regency_) != self_) return;
-  if (!sync_in_progress_) return;
-  // A sender behind or ahead of us reports a different slot; keep the blob
-  // anyway (the SYNC assembly filters by slot) as long as it is authentic
-  // for the current regency.
-  if (!validate_stopdata(msg, regency_, msg.cid)) {
-    if (msg.next_epoch == regency_) {
-      BFT_LOG(warn) << "replica " << self_ << ": invalid STOPDATA from " << from;
-    }
-    return;
-  }
-  sync_stopdata_blobs_[msg.from] = encode(msg);
-  if (msg.last_decided > confirm_cursor_) {
-    // We are the sync leader but lag behind this sender: catch up first so a
-    // quorum of STOPDATAs can reference the same slot.
-    note_future_traffic(msg.last_decided);
-  }
-  maybe_send_sync();
-}
-
-void Replica::maybe_send_sync() {
-  if (!sync_in_progress_ || config_.leader(regency_) != self_) return;
-  // Only blobs that talk about the slot we are synchronizing count.
-  std::vector<std::pair<Bytes, StopData>> matching;
-  std::set<ReplicaId> senders;
-  for (const auto& [p, blob] : sync_stopdata_blobs_) {
-    const StopData sd = decode<StopData>(blob);
-    if (sd.cid != sync_cid_) continue;
-    if (config_.contains(p)) {
-      senders.insert(config_.index_of(p));
-      matching.emplace_back(blob, sd);
-    }
-  }
-  if (!config_.quorums().is_quorum(senders)) return;
-
-  // Select the highest-epoch certified value among the STOPDATAs.
-  std::optional<WriteCertificate> chosen;
-  for (const auto& [blob, sd] : matching) {
-    (void)blob;
-    if (sd.cert.has_value() &&
-        (!chosen.has_value() || sd.cert->epoch > chosen->epoch)) {
-      chosen = sd.cert;
-    }
-  }
-
-  Bytes proposed;
-  if (chosen.has_value()) {
-    // Find the certified value: in a STOPDATA, our own instance, or fetch it.
-    for (const auto& [blob, sd] : matching) {
-      (void)blob;
-      if (!sd.value.empty() && consensus::value_hash(sd.value) == chosen->hash) {
-        proposed = sd.value;
-        break;
-      }
-    }
-    if (proposed.empty()) {
-      const auto inst_it = instances_.find(sync_cid_);
-      if (inst_it != instances_.end()) {
-        const Bytes* v = inst_it->second.instance.value_for(chosen->hash);
-        if (v != nullptr) proposed = *v;
-      }
-    }
-    if (proposed.empty()) {
-      request_value(sync_cid_, chosen->hash);
-      return;  // retried from handle_value_reply
-    }
-  } else {
-    // Nothing certified: propose a fresh batch from our pending pool (may be
-    // empty — the slot must still complete to unblock the pipeline).
-    proposed = Batch{pool_.oldest(params_.batch_max)}.encode();
-  }
-
-  Sync sync;
-  sync.new_epoch = regency_;
-  sync.cid = sync_cid_;
-  for (const auto& [blob, sd] : matching) {
-    (void)sd;
-    sync.stopdata_blobs.push_back(blob);
-  }
-  sync.proposed_value = proposed;
-  broadcast(encode(sync));
-  handle_sync(self_, sync);
-}
-
-void Replica::handle_sync(ProcessId from, const Sync& msg) {
-  if (!is_active_member()) return;
-  if (msg.new_epoch < regency_) return;
-  if (config_.leader(msg.new_epoch) != from) return;
-  if (msg.cid <= confirm_cursor_) return;  // already settled
-
-  // Validate the STOPDATA set: distinct members, valid signatures and
-  // certificates, quorum weight.
-  std::set<ReplicaId> senders;
-  std::optional<WriteCertificate> chosen;
-  for (const Bytes& blob : msg.stopdata_blobs) {
-    StopData sd;
-    try {
-      sd = decode<StopData>(blob);
-    } catch (const DecodeError&) {
-      return;
-    }
-    if (!validate_stopdata(sd, msg.new_epoch, msg.cid)) return;
-    const ReplicaId idx = config_.index_of(sd.from);
-    if (senders.count(idx) > 0) return;
-    senders.insert(idx);
-    if (sd.cert.has_value() &&
-        (!chosen.has_value() || sd.cert->epoch > chosen->epoch)) {
-      chosen = sd.cert;
-    }
-  }
-  if (!config_.quorums().is_quorum(senders)) return;
-  if (chosen.has_value() &&
-      consensus::value_hash(msg.proposed_value) != chosen->hash) {
-    return;  // leader ignored a certified value: reject
-  }
-
-  if (msg.new_epoch > regency_) regency_ = msg.new_epoch;
-  sync_cid_ = msg.cid;
-  sync_in_progress_ = true;  // cleared at the slot's WRITE quorum
-  accept_proposal(msg.cid, msg.new_epoch, from, msg.proposed_value);
-}
-
-// --------------------------------------------------------------------------
-// State transfer (§5.2)
-// --------------------------------------------------------------------------
-
-void Replica::note_future_traffic(ConsensusId cid) {
-  // Any traffic for an undecided slot arms the stall detector (once): if the
-  // confirm cursor has not moved by expiry, this replica missed decisions it
-  // can only recover via state transfer.
-  if (cid <= confirm_cursor_ || transferring_ || stall_timer_ != 0) return;
-  stall_anchor_cid_ = confirm_cursor_;
-  stall_timer_ = env().set_timer(params_.stall_timeout);
-}
-
-void Replica::begin_state_transfer() {
-  if (transferring_) return;
-  transferring_ = true;
-  if (m_.state_transfers != nullptr) m_.state_transfers->add();
-  transfer_replies_.clear();
-  chunk_in_.clear();  // partially reassembled streams belong to an old round
-  for (ProcessId member : config_.members()) {
-    if (member != self_) {
-      env().send(member, encode(StateRequest{confirm_cursor_}));
-    }
-  }
-  if (transfer_timer_ != 0) env().cancel_timer(transfer_timer_);
-  transfer_timer_ = env().set_timer(params_.state_transfer_retry);
-}
-
-void Replica::handle_state_request(ProcessId from, const StateRequest& msg) {
-  (void)msg;
+void Replica::handle_state_request(ProcessId from) {
   if (!is_active_member()) return;
   StateReply reply;
   reply.snapshot_cid = snapshot_cid_;
@@ -1243,206 +905,26 @@ void Replica::handle_state_request(ProcessId from, const StateRequest& msg) {
     }
   }
   reply.epoch = regency_;
-  send_state_reply(from, reply);
+  transfer_.send_reply(from, reply);
 }
 
-void Replica::send_state_reply(ProcessId to, const StateReply& reply) {
-  Bytes encoded = encode(reply);
-  if (encoded.size() <= kStateChunkBytes) {
-    env().send(to, std::move(encoded));
-    return;
-  }
-
-  // Large reply: split the encoded bytes and stream them with a bounded
-  // window so a bulk checkpoint cannot monopolize the link to `to`. A new
-  // request from the same peer abandons any stream still in flight.
-  ChunkSendState& out = chunk_out_[to];
-  out.id = next_transfer_id_++;
-  out.chunks.clear();
-  out.next_to_send = 0;
-  out.acked = 0;
-  for (std::size_t off = 0; off < encoded.size(); off += kStateChunkBytes) {
-    const std::size_t len = std::min(kStateChunkBytes, encoded.size() - off);
-    out.chunks.emplace_back(encoded.begin() + off, encoded.begin() + off + len);
-  }
-
-  while (out.next_to_send < out.chunks.size() &&
-         out.next_to_send < kStateChunkWindow) {
-    send_next_chunk(to, out);
-  }
-}
-
-void Replica::send_next_chunk(ProcessId to, ChunkSendState& out) {
-  env().send(to, encode(StateChunk{
-                     out.id, out.next_to_send,
-                     static_cast<std::uint32_t>(out.chunks.size()),
-                     out.chunks[out.next_to_send]}));
-  if (m_.state_chunks_sent != nullptr) m_.state_chunks_sent->add();
-  ++out.next_to_send;
-}
-
-void Replica::handle_state_chunk_ack(ProcessId from, const StateChunkAck& msg) {
-  const auto it = chunk_out_.find(from);
-  if (it == chunk_out_.end() || it->second.id != msg.transfer_id) return;
-  ChunkSendState& out = it->second;
-  if (msg.index >= out.chunks.size() || out.acked >= out.chunks.size()) return;
-  ++out.acked;
-  if (out.acked >= out.chunks.size()) {
-    chunk_out_.erase(it);  // stream fully delivered
-    return;
-  }
-  if (out.next_to_send < out.chunks.size()) send_next_chunk(from, out);
-}
-
-void Replica::handle_state_chunk(ProcessId from, const StateChunk& msg) {
-  if (!transferring_ || from == self_) return;
-  // A Byzantine sender controls `total`; bound what one peer can make us
-  // buffer before the reassembled reply would be decoded (and dropped) anyway.
-  constexpr std::uint32_t kMaxChunksPerTransfer = 1u << 16;
-  if (msg.total == 0 || msg.total > kMaxChunksPerTransfer ||
-      msg.index >= msg.total) {
-    return;
-  }
-  ChunkRecvState& in = chunk_in_[from];
-  if (in.id != msg.transfer_id || in.total != msg.total) {
-    in = ChunkRecvState{};
-    in.id = msg.transfer_id;
-    in.total = msg.total;
-    in.parts.resize(msg.total);
-  }
-  if (in.parts[msg.index].empty()) {
-    in.parts[msg.index] = msg.data;
-    ++in.received;
-    if (m_.state_chunks_received != nullptr) m_.state_chunks_received->add();
-  }
-  env().send(from, encode(StateChunkAck{msg.transfer_id, msg.index}));
-  if (in.received < in.total) return;
-
-  Bytes full;
-  std::size_t size = 0;
-  for (const Bytes& part : in.parts) size += part.size();
-  full.reserve(size);
-  for (const Bytes& part : in.parts) {
-    full.insert(full.end(), part.begin(), part.end());
-  }
-  chunk_in_.erase(from);
-  try {
-    handle_state_reply(from, decode<StateReply>(full));
-  } catch (const DecodeError&) {
-    BFT_LOG(warn) << "replica " << self_
-                  << ": reassembled state reply from " << from
-                  << " does not decode; dropping";
-  }
-}
-
-void Replica::handle_state_reply(ProcessId from, const StateReply& msg) {
-  if (!transferring_ || from == self_) return;
-  transfer_replies_[from] = msg;
-  try_assemble_state();
-}
-
-void Replica::try_assemble_state() {
-  const std::uint32_t needed = config_.quorums().count_f_plus_1();
-  if (transfer_replies_.size() < needed) return;
-
-  // Group replies by snapshot identity. A snapshot (and every log entry we
-  // adopt on top of it) must be vouched by f+1 distinct replicas, so at least
-  // one correct one.
-  std::map<std::string, std::vector<const StateReply*>> groups;
-  for (const auto& [sender, reply] : transfer_replies_) {
-    (void)sender;
-    Writer w;
-    w.u64(reply.snapshot_cid);
-    w.bytes(reply.snapshot);
-    groups[crypto::hash_hex(crypto::sha256(w.data()))].push_back(&reply);
-  }
-
-  // Best candidate: the (snapshot, agreed log prefix) with furthest coverage.
-  const StateReply* best_base = nullptr;
-  std::vector<LogEntry> best_log;
-  ConsensusId best_covered = confirm_cursor_;
-  Epoch best_epoch = 0;
-
-  for (const auto& [digest, replies] : groups) {
-    (void)digest;
-    if (replies.size() < needed) continue;
-    const StateReply* base = replies.front();
-    std::vector<LogEntry> agreed;
-    ConsensusId cid = base->snapshot_cid;
-    for (;;) {
-      const ConsensusId next = cid + 1;
-      // Tally values proposed for `next` across the group.
-      std::map<std::string, std::pair<std::uint32_t, const Bytes*>> votes;
-      for (const StateReply* r : replies) {
-        for (const LogEntry& e : r->log) {
-          if (e.cid == next) {
-            auto& slot = votes[crypto::hash_hex(crypto::sha256(e.value))];
-            ++slot.first;
-            slot.second = &e.value;
-            break;
-          }
-        }
-      }
-      const Bytes* winner = nullptr;
-      for (const auto& [vh, slot] : votes) {
-        (void)vh;
-        if (slot.first >= needed) {
-          winner = slot.second;
-          break;
-        }
-      }
-      if (winner == nullptr) break;
-      agreed.push_back(LogEntry{next, *winner});
-      cid = next;
-    }
-    if (cid > best_covered) {
-      best_base = base;
-      best_log = std::move(agreed);
-      best_covered = cid;
-      for (const StateReply* r : replies) best_epoch = std::max(best_epoch, r->epoch);
-    }
-  }
-
-  if (best_base != nullptr) {
-    adopt_state(best_base->snapshot_cid, best_base->snapshot, best_log, best_epoch);
-    return;
-  }
-
-  // Nothing advances us. If every member answered, the transfer was
-  // spurious; cancel it so proposing is not blocked forever.
-  if (transfer_replies_.size() + 1 >= config_.n() && is_active_member()) {
-    end_state_transfer();
-    maybe_propose();
-  }
-}
-
-void Replica::end_state_transfer() {
-  transferring_ = false;
-  transfer_replies_.clear();
-  chunk_in_.clear();
-  if (transfer_timer_ != 0) {
-    env().cancel_timer(transfer_timer_);
-    transfer_timer_ = 0;
-  }
-}
-
-void Replica::adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
-                          const std::vector<LogEntry>& log, Epoch epoch_hint) {
+void Replica::adopt_state(StateReply state) {
+  const ConsensusId covered =
+      state.log.empty() ? state.snapshot_cid : state.log.back().cid;
   BFT_LOG(info) << "replica " << self_ << ": adopting state up to cid "
-                << (log.empty() ? snapshot_cid : log.back().cid);
-  restore_core_snapshot(snapshot);
-  snapshot_cid_ = snapshot_cid;
-  checkpoint_snapshot_ = snapshot;
+                << covered;
+  restore_core_snapshot(state.snapshot);
+  snapshot_cid_ = state.snapshot_cid;
+  checkpoint_snapshot_ = std::move(state.snapshot);
   rollback_snapshot_.reset();
   tentative_hashes_.clear();
   pending_tentative_.clear();
   decided_awaiting_value_.clear();
-  const ConsensusId covered = log.empty() ? snapshot_cid : log.back().cid;
   // Keep decisions newer than the transferred state that we learned live
   // while the transfer was in flight; replace everything the reply covers.
   decided_values_.erase(decided_values_.begin(),
                         decided_values_.upper_bound(covered));
-  instances_.erase(instances_.begin(), instances_.upper_bound(snapshot_cid));
+  instances_.erase(instances_.begin(), instances_.upper_bound(snapshot_cid_));
 
   // Persist the adopted position: the snapshot as a durable checkpoint (its
   // digest is computed on the freshly restored state), then each replayed
@@ -1451,11 +933,11 @@ void Replica::adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
   persist_checkpoint();
 
   replaying_ = true;
-  for (const LogEntry& entry : log) {
+  for (LogEntry& entry : state.log) {
     if (entry.cid != confirm_cursor_ + 1) break;  // non-contiguous: stop
     persist_decision(entry.cid, entry.value);
-    decided_values_[entry.cid] = entry.value;
-    execute_confirmed(entry.cid, entry.value);
+    const Bytes& value = decided_values_[entry.cid] = std::move(entry.value);
+    execute_confirmed(entry.cid, value);
   }
   replaying_ = false;
 
@@ -1469,17 +951,11 @@ void Replica::adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
 
   order_frontier_ = std::max(order_frontier_, confirm_cursor_);
   try_apply();  // consume any surviving post-transfer decisions
-  regency_ = std::max(regency_, epoch_hint);
-  end_state_transfer();
+  raise_regency(state.epoch);
+  transfer_.end();
   app_->on_state_installed();
-  if (!is_active_member()) {
-    // Still a learner: keep polling until a reconfiguration admits us.
-    transfer_timer_ = env().set_timer(params_.state_transfer_retry);
-  } else if (sync_in_progress_) {
-    // Our view of the slot under synchronization moved: refresh the leader.
-    sync_cid_ = confirm_cursor_ + 1;
-    send_stopdata();
-  } else {
+  if (is_active_member()) {
+    sync_.on_cursor_moved();
     maybe_propose();
   }
 }

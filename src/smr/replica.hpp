@@ -5,27 +5,28 @@
 //   * the PROPOSE/WRITE/ACCEPT normal case driven by consensus::Instance;
 //   * WHEAT's tentative execution (deliver on WRITE quorum, ACCEPT async,
 //     rollback via snapshot + replay on conflicting late decisions);
-//   * the synchronization phase (STOP / STOPDATA / SYNC) with signed,
-//     transferable write certificates for regency changes;
-//   * checkpointing every `checkpoint_period` decisions and state transfer
-//     for laggards and joining nodes (§5.2);
+//   * checkpointing every `checkpoint_period` decisions;
 //   * reconfiguration through core-executed membership-change requests;
 //   * the custom-replier hook the ordering service uses to push blocks to
 //     registered receivers instead of answering invoking clients.
+//
+// The synchronization phase (smr/synchronizer.hpp) and state transfer
+// (smr/state_transfer.hpp) are units of their own; they drive consensus
+// through the consensus interface below.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 
 #include "consensus/instance.hpp"
 #include "crypto/authenticator.hpp"
-#include "crypto/ecdsa.hpp"
 #include "runtime/actor.hpp"
 #include "smr/config.hpp"
 #include "smr/request_pool.hpp"
 #include "smr/state_machine.hpp"
+#include "smr/state_transfer.hpp"
+#include "smr/synchronizer.hpp"
 #include "smr/wire.hpp"
 
 namespace bft::smr {
@@ -64,7 +65,6 @@ class Replica : public runtime::Actor {
   // --- introspection (tests, benches, application modules) ---
   runtime::ProcessId self_id() const { return self_; }
   const ClusterConfig& config() const { return config_; }
-  const ReplicaParams& params() const { return params_; }
   consensus::Epoch regency() const { return regency_; }
   bool is_leader() const;
   /// True once this process is part of the active membership.
@@ -73,7 +73,7 @@ class Replica : public runtime::Actor {
   ConsensusId last_applied() const { return tentative_cursor_; }
   std::uint64_t executed_request_count() const { return executed_count_; }
   std::uint64_t decided_batch_count() const { return decided_count_; }
-  bool state_transfer_in_progress() const { return transferring_; }
+  bool state_transfer_in_progress() const { return transfer_.in_progress(); }
   std::size_t pending_request_count() const { return pool_.size(); }
   /// Contiguously-executed sequence watermark for `client`: every seq up to
   /// and including the returned value has executed (0 if none).
@@ -81,7 +81,6 @@ class Replica : public runtime::Actor {
     const auto it = executed_seqs_.find(client);
     return it == executed_seqs_.end() ? 0 : it->second.low;
   }
-  const std::set<runtime::ProcessId>& receivers() const { return receivers_; }
 
   // --- services for the application / custom replier ---
   /// Sends an application payload to every registered receiver (§5.1's
@@ -90,13 +89,37 @@ class Replica : public runtime::Actor {
   /// Sends an application payload to one process.
   void send_push(runtime::ProcessId to, ByteView payload);
   runtime::Env& runtime_env() { return env(); }
-  const CostModel& costs() const { return params_.costs; }
   /// True while re-executing history (state transfer): the application
   /// should suppress external effects such as block pushes.
   bool replaying_history() const { return replaying_; }
   /// Arms a timer delivered to the application's on_app_timer (local,
   /// non-replicated machinery such as batch timeouts).
   std::uint64_t set_app_timer(runtime::Duration delay);
+
+  // --- consensus interface of the Synchronizer and StateTransfer ---
+  /// Enters regency `next` after a STOP quorum: forgets our proposals for
+  /// undecided slots and stops the request timer.
+  void install_regency(consensus::Epoch next);
+  /// Adopts a newer regency learned from SYNC or transferred state.
+  void raise_regency(consensus::Epoch e) { regency_ = std::max(regency_, e); }
+  void accept_proposal(ConsensusId cid, consensus::Epoch epoch,
+                       runtime::ProcessId from, Bytes value);
+  void request_value(ConsensusId cid, const ValueHash& hash);
+  void maybe_propose();
+  /// Fans `payload` out to every other member, sharing one underlying buffer
+  /// across all sends (no per-destination deep copy).
+  void broadcast(Payload payload);
+  /// The consensus instance of slot `cid`, or null if there is none.
+  const consensus::Instance* instance(ConsensusId cid) const;
+  /// Highest slot with consensus traffic (0 when none).
+  ConsensusId highest_instance() const {
+    return instances_.empty() ? 0 : instances_.rbegin()->first;
+  }
+  /// Encoded batch of the oldest pooled requests, in flight or not.
+  Bytes oldest_batch() const;
+  /// Installs state assembled by state transfer: restores its snapshot,
+  /// replays its log and ends the transfer.
+  void adopt_state(StateReply state);
 
  private:
   struct InstanceDriver {
@@ -121,30 +144,19 @@ class Replica : public runtime::Actor {
   void handle_write(runtime::ProcessId from, const WriteMsg& msg,
                     runtime::Verified::Auth auth);
   void handle_accept(runtime::ProcessId from, const AcceptMsg& msg);
-  void handle_stop(runtime::ProcessId from, const Stop& msg);
-  void handle_stopdata(runtime::ProcessId from, const StopData& msg);
-  void handle_sync(runtime::ProcessId from, const Sync& msg);
-  void handle_state_request(runtime::ProcessId from, const StateRequest& msg);
-  void handle_state_reply(runtime::ProcessId from, const StateReply& msg);
-  void handle_state_chunk(runtime::ProcessId from, const StateChunk& msg);
-  void handle_state_chunk_ack(runtime::ProcessId from,
-                              const StateChunkAck& msg);
+  void handle_state_request(runtime::ProcessId from);
   void handle_value_request(runtime::ProcessId from, const ValueRequest& msg);
   void handle_value_reply(runtime::ProcessId from, const ValueReply& msg);
 
   // -- consensus driving --
   InstanceDriver& driver(ConsensusId cid);
-  void accept_proposal(ConsensusId cid, consensus::Epoch epoch,
-                       runtime::ProcessId from, Bytes value);
+  /// Membership and slot-window check of a PROPOSE / WRITE / ACCEPT; far
+  /// ahead slots start a state transfer.
+  bool admit_consensus_msg(runtime::ProcessId from, ConsensusId cid);
   void send_write_for(ConsensusId cid, consensus::Epoch epoch,
                       const ValueHash& hash);
   void on_write_quorum(ConsensusId cid, consensus::Epoch epoch);
   void on_decided(ConsensusId cid);
-  void maybe_propose();
-  /// Fans `payload` out to every other member, sharing one underlying buffer
-  /// across all sends (no per-destination deep copy).
-  void broadcast(Payload payload);
-  void request_value(ConsensusId cid, const ValueHash& hash);
 
   // -- execution pipeline --
   void try_apply();
@@ -165,34 +177,6 @@ class Replica : public runtime::Actor {
   void persist_checkpoint();
   /// Restart-from-disk: newest verifiable checkpoint + contiguous WAL suffix.
   void recover_from_storage();
-
-  // -- synchronization phase --
-  /// The regency a new STOP demands: one past every regency seen or asked for.
-  consensus::Epoch next_stop_regency() const;
-  void start_regency_change(consensus::Epoch next);
-  void install_regency(consensus::Epoch next);
-  void send_stopdata();
-  bool validate_stopdata(const StopData& sd, consensus::Epoch expected_epoch,
-                         ConsensusId expected_cid) const;
-  void maybe_send_sync();
-
-  // -- state transfer --
-  bool admit_consensus_cid(ConsensusId cid);
-  void note_future_traffic(ConsensusId cid);
-  void begin_state_transfer();
-  /// Sends `reply` to `to` — whole when it fits in one kStateChunkBytes
-  /// frame, otherwise as an acked stream of StateChunk fragments with at
-  /// most kStateChunkWindow outstanding.
-  void send_state_reply(runtime::ProcessId to, const StateReply& reply);
-  /// Assembles the longest decided prefix vouched by f+1 replies; adopts it
-  /// if it advances us. Cancels a spurious transfer when f+1 peers report
-  /// nothing newer.
-  void try_assemble_state();
-  /// Stops collecting replies and cancels the retry timer.
-  void end_state_transfer();
-  void adopt_state(ConsensusId snapshot_cid, const Bytes& snapshot,
-                   const std::vector<LogEntry>& log,
-                   consensus::Epoch epoch_hint);
 
   // -- timers / misc --
   void arm_request_timer();
@@ -269,49 +253,9 @@ class Replica : public runtime::Actor {
   ConsensusId snapshot_cid_ = 0;
   Bytes checkpoint_snapshot_;
 
-  // Synchronization phase.
-  std::map<consensus::Epoch, std::set<runtime::ProcessId>> stop_votes_;
-  std::set<consensus::Epoch> sent_stop_;
-  bool sync_in_progress_ = false;
-  ConsensusId sync_cid_ = 0;
-  std::map<runtime::ProcessId, Bytes> sync_stopdata_blobs_;  // leader side
-  std::uint64_t sync_timer_ = 0;
-  std::uint32_t timeout_backoff_ = 0;
-
   // Request-liveness timer.
   std::uint64_t request_timer_ = 0;
   bool forwarded_phase_ = false;
-
-  // Stall detector: traffic for future slots while the next slot stays
-  // undecided (lost ACCEPTs) eventually forces a state transfer.
-  std::uint64_t stall_timer_ = 0;
-  ConsensusId stall_anchor_cid_ = 0;
-
-  // State transfer.
-  bool transferring_ = false;
-  std::uint64_t transfer_timer_ = 0;
-  std::map<runtime::ProcessId, StateReply> transfer_replies_;
-
-  // Chunked reply streams (one per peer in each direction). Senders keep the
-  // pre-split fragments and a send/ack cursor; receivers reassemble into
-  // `parts` and feed the completed bytes through handle_state_reply.
-  struct ChunkSendState {
-    std::uint64_t id = 0;
-    std::vector<Bytes> chunks;
-    std::uint32_t next_to_send = 0;
-    std::uint32_t acked = 0;
-  };
-  struct ChunkRecvState {
-    std::uint64_t id = 0;
-    std::uint32_t total = 0;
-    std::uint32_t received = 0;
-    std::vector<Bytes> parts;
-  };
-  /// Sends `out`'s next fragment to `to` and advances its send cursor.
-  void send_next_chunk(runtime::ProcessId to, ChunkSendState& out);
-  std::map<runtime::ProcessId, ChunkSendState> chunk_out_;
-  std::map<runtime::ProcessId, ChunkRecvState> chunk_in_;
-  std::uint64_t next_transfer_id_ = 1;
 
   // Custom-replier audience.
   std::set<runtime::ProcessId> receivers_;
@@ -329,9 +273,6 @@ class Replica : public runtime::Actor {
     obs::Counter* requests_executed = nullptr;
     obs::Counter* pushes_sent = nullptr;
     obs::Counter* regency_changes = nullptr;
-    obs::Counter* state_transfers = nullptr;
-    obs::Counter* state_chunks_sent = nullptr;
-    obs::Counter* state_chunks_received = nullptr;
     obs::Gauge* pending_requests = nullptr;
     obs::LatencyHistogram* batch_size = nullptr;
     obs::LatencyHistogram* propose_to_write = nullptr;
@@ -341,6 +282,10 @@ class Replica : public runtime::Actor {
   MetricHandles m_;
   consensus::InstanceMetrics instance_metrics_;  // shared by all drivers
   obs::TraceRing* trace_ = nullptr;
+
+  // Declared last: both hold references to the members above.
+  StateTransfer transfer_;
+  Synchronizer sync_;
 };
 
 }  // namespace bft::smr

@@ -53,11 +53,11 @@ bool kind_known(MsgKind kind);
 // --- tagged message codec ---
 //
 // Every wire message type T declares exactly one thing: its kind tag and how
-// its body (de)serializes, via the Codec<T> specialization. The generic
+// its body (de)serializes, via the Codec<T> specialization (wire.cpp gives
+// each body one field list that serves both directions). The generic
 // encode<T>/decode<T> below own the framing conventions — leading kind byte,
 // full-consumption check, DecodeError on mismatch — so adding a message type
-// is one specialization, not another hand-rolled encode_*/decode_* pair with
-// its own copy of the kind handling.
+// is one specialization and one field list.
 
 template <typename T>
 struct Codec;  // specialized for every wire message type

@@ -292,6 +292,38 @@ TEST(ReplicaFaultTest, WheatLeaderCrashRollsBackCleanly) {
   }
 }
 
+TEST(ReplicaFaultTest, NonMembersCannotVouchForState) {
+  // A learner polls the {0..3} cluster for state. Two processes outside the
+  // configuration answer with the same forged snapshot: two matching replies
+  // are f+1, so they must not count unless their senders are members.
+  SimHarness h(4, 0, fault_params());
+  const auto cfg4 = ClusterConfig::classic({0, 1, 2, 3});
+  CounterMachine learner_app;
+  Replica learner(4, cfg4, fault_params(), &learner_app);
+  h.cluster.add_process(4, &learner, sim::CpuConfig{});
+  RawSender second_forger;
+  h.cluster.add_process(98, &second_forger);
+
+  Writer app;  // CounterMachine snapshot: value, history digest
+  app.u64(999999);
+  app.raw(ByteView(crypto::Hash256{}.data(), 32));
+  Writer core;  // app, config, cursor, empty dedup and reply tables
+  core.bytes(app.data());
+  core.bytes(cfg4.encode());
+  core.u64(5);
+  core.u32(0);
+  core.u32(0);
+  const Bytes forged = encode(StateReply{5, std::move(core).take(), {}, 0});
+  h.cluster.schedule_at(50 * kMillisecond, [&] {
+    h.raw_sender.send_raw(4, forged);
+    second_forger.send_raw(4, forged);
+  });
+  h.cluster.run_until(2 * kSecond);
+
+  EXPECT_NE(learner_app.value(), 999999u);
+  EXPECT_EQ(learner.last_confirmed(), 0u);
+}
+
 TEST(ReplicaFaultTest, ReconfigurationAddsLearnerNode) {
   ReplicaParams p = fault_params();
   p.checkpoint_period = 8;
