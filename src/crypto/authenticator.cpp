@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 namespace bft::crypto {
 
@@ -11,6 +12,10 @@ PrivateKey process_private_key(std::uint32_t id) {
 }
 
 const PublicKey& process_public_key(std::uint32_t id) {
+  // Entries are never erased, so each thread remembers the ones it looked
+  // up and takes the lock only the first time it sees an id.
+  thread_local std::unordered_map<std::uint32_t, const PublicKey*> seen;
+  if (const auto hit = seen.find(id); hit != seen.end()) return *hit->second;
   static std::mutex mutex;
   static std::map<std::uint32_t, PublicKey> cache;
   std::lock_guard<std::mutex> lock(mutex);
@@ -18,6 +23,7 @@ const PublicKey& process_public_key(std::uint32_t id) {
   if (it == cache.end()) {
     it = cache.emplace(id, process_private_key(id).public_key()).first;
   }
+  seen.emplace(id, &it->second);
   return it->second;
 }
 

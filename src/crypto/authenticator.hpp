@@ -21,8 +21,9 @@ namespace bft::crypto {
 /// derives its signing key from its id, so any process can reconstruct any
 /// other's public key without a handshake.
 PrivateKey process_private_key(std::uint32_t id);
-/// Cached public counterpart; the reference stays valid for the program's
-/// lifetime. Thread-safe.
+/// Cached public counterpart (with its verification table); the reference
+/// stays valid for the program's lifetime. Thread-safe, and lock-free after a
+/// thread's first lookup of `id`.
 const PublicKey& process_public_key(std::uint32_t id);
 
 /// Signing with process `self`'s key and verification against any process's

@@ -64,20 +64,11 @@ bool PublicKey::verify(const Hash256& digest, const Signature& sig) const {
   if (sig.r.is_zero() || sig.s.is_zero() || !(sig.r < n) || !(sig.s < n)) {
     return false;
   }
-  const U256 e = digest_to_scalar(digest);
-
-  const U256 s_mont = fn.to_mont(sig.s);
-  const U256 w_mont = fn.inv(s_mont);
-  const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(e), w_mont));
-  const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(sig.r), w_mont));
-
-  const ec::Jacobian rp = ec::double_scalar_mul(u1, u2, point_);
-  if (rp.is_infinity()) return false;
-
-  // R.x < p < 2n, so one conditional subtraction reduces it mod n.
-  const ec::Affine aff = ec::to_affine(rp);
-  const U256 rx = ec::order().reduce(aff.x);
-  return rx == sig.r;
+  // u1 = e / s and u2 = r / s: a plain factor times a Montgomery one is plain.
+  const U256 w_mont = fn.inv(fn.to_mont(sig.s));
+  const U256 u1 = fn.mul(digest_to_scalar(digest), w_mont);
+  const U256 u2 = fn.mul(sig.r, w_mont);
+  return ec::x_mod_n_equals(ec::double_scalar_mul(u1, u2, table_), sig.r);
 }
 
 PrivateKey PrivateKey::generate(Rng& rng) {
@@ -115,13 +106,13 @@ PublicKey PrivateKey::public_key() const {
 
 U256 rfc6979_nonce(const U256& priv, const Hash256& digest) {
   // RFC 6979 §3.2 with SHA-256; h1 is already the message digest.
-  const Bytes x = priv.to_be_bytes();
-  const U256 e = digest_to_scalar(digest);
-  const Bytes h1 = e.to_be_bytes();  // bits2octets(H(m))
+  const std::array<std::uint8_t, 32> x = priv.to_be_array();
+  const std::array<std::uint8_t, 32> h1 =
+      digest_to_scalar(digest).to_be_array();  // bits2octets(H(m))
 
-  std::array<std::uint8_t, 32> v;
+  Hash256 v;
   v.fill(0x01);
-  std::array<std::uint8_t, 32> k;
+  Hash256 k;
   k.fill(0x00);
 
   auto mac = [&](std::initializer_list<ByteView> parts) {
@@ -129,20 +120,23 @@ U256 rfc6979_nonce(const U256& priv, const Hash256& digest) {
     for (const auto& p : parts) h.update(p);
     return h.finish();
   };
+  const ByteView vv(v.data(), v.size());
+  const ByteView xv(x.data(), x.size());
+  const ByteView hv(h1.data(), h1.size());
   const std::uint8_t zero = 0x00;
   const std::uint8_t one = 0x01;
 
-  k = mac({ByteView(v.data(), v.size()), ByteView(&zero, 1), ByteView(x), ByteView(h1)});
-  v = mac({ByteView(v.data(), v.size())});
-  k = mac({ByteView(v.data(), v.size()), ByteView(&one, 1), ByteView(x), ByteView(h1)});
-  v = mac({ByteView(v.data(), v.size())});
+  k = mac({vv, ByteView(&zero, 1), xv, hv});
+  v = mac({vv});
+  k = mac({vv, ByteView(&one, 1), xv, hv});
+  v = mac({vv});
 
   for (;;) {
-    v = mac({ByteView(v.data(), v.size())});
-    const U256 candidate = U256::from_be_bytes(ByteView(v.data(), v.size()));
+    v = mac({vv});
+    const U256 candidate = U256::from_be_bytes(vv);
     if (!candidate.is_zero() && candidate < ec::order_n()) return candidate;
-    k = mac({ByteView(v.data(), v.size()), ByteView(&zero, 1)});
-    v = mac({ByteView(v.data(), v.size())});
+    k = mac({vv, ByteView(&zero, 1)});
+    v = mac({vv});
   }
 }
 
@@ -155,24 +149,20 @@ Signature PrivateKey::sign(const Hash256& digest) const {
     const ec::Affine rp = ec::to_affine(ec::generator_mul(nonce));
     const U256 r = fn.reduce(rp.x);
     if (!r.is_zero()) {
-      // s = k^-1 (e + r d) mod n
-      const U256 k_mont = fn.to_mont(nonce);
-      const U256 kinv = fn.inv(k_mont);
-      const U256 rd = fn.mul(fn.to_mont(r), fn.to_mont(d_));
-      const U256 sum = fn.add(fn.to_mont(e), rd);
-      U256 s = fn.from_mont(fn.mul(kinv, sum));
+      // s = k^-1 (e + r d) mod n; a plain factor times a Montgomery one is
+      // plain.
+      const U256 kinv_mont = fn.inv(fn.to_mont(nonce));
+      const U256 sum = fn.add(e, fn.mul(r, fn.to_mont(d_)));
+      U256 s = fn.mul(sum, kinv_mont);
       if (!s.is_zero()) {
-        if (ec::half_order() < s) {
-          U256 flipped;
-          sub_with_borrow(ec::order_n(), s, flipped);
-          s = flipped;
-        }
+        if (ec::half_order() < s) s = fn.neg(s);
         return Signature{r, s};
       }
     }
     // Degenerate nonce (probability ~2^-256): derive a fresh one.
-    const Hash256 retry = sha256(nonce.to_be_bytes());
-    nonce = ec::order().reduce(U256::from_be_bytes(ByteView(retry.data(), 32)));
+    const std::array<std::uint8_t, 32> seed = nonce.to_be_array();
+    const Hash256 retry = sha256(ByteView(seed.data(), seed.size()));
+    nonce = fn.reduce(U256::from_be_bytes(ByteView(retry.data(), retry.size())));
     if (nonce.is_zero()) nonce = U256::one();
   }
 }

@@ -26,7 +26,9 @@ struct Signature {
 
 class PublicKey {
  public:
-  explicit PublicKey(secp256k1::Affine point) : point_(std::move(point)) {}
+  /// `point` must be a finite curve point.
+  explicit PublicKey(const secp256k1::Affine& point)
+      : point_(point), table_(point) {}
 
   /// 33-byte SEC1 compressed encoding (02/03 prefix + x).
   Bytes to_bytes() const;
@@ -41,6 +43,7 @@ class PublicKey {
 
  private:
   secp256k1::Affine point_;
+  secp256k1::PointTable table_;  // what every verify reads of the point
 };
 
 class PrivateKey {

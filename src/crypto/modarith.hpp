@@ -1,6 +1,6 @@
 // Modular arithmetic over a fixed odd 256-bit modulus using Montgomery
-// multiplication (CIOS). One instance serves the secp256k1 base field (mod p)
-// and another the scalar group (mod n).
+// multiplication (CIOS): the secp256k1 scalar group (mod n). The base field
+// has its own representation (field.hpp); both invert with inv_mod.
 //
 // Values passed to mul/sqr/pow/inv must already be in Montgomery form
 // (via to_mont); add/sub work in either representation as long as both
@@ -39,7 +39,7 @@ class ModArith {
   U256 sqr(const U256& a) const { return mul(a, a); }
   /// Montgomery exponentiation; base in Montgomery form, exponent plain.
   U256 pow(const U256& base, const U256& exp) const;
-  /// Modular inverse via Fermat (modulus must be prime); input/output in
+  /// Modular inverse (modulus must be prime) via inv_mod; input/output in
   /// Montgomery form. Throws std::domain_error on zero.
   U256 inv(const U256& a) const;
 
@@ -51,6 +51,12 @@ class ModArith {
   std::uint64_t n0inv_;  // -m^-1 mod 2^64
   U256 r_mod_m_;         // 2^256 mod m
   U256 r2_mod_m_;        // 2^512 mod m
+  U256 r3_mod_m_;        // 2^768 mod m
 };
+
+/// a^-1 mod m by the Bernstein-Yang safegcd (batches of 62 divsteps, see
+/// modarith.cpp), for an odd m and 0 < a < m with gcd(a, m) == 1. Variable
+/// time (see the note above); throws std::domain_error on zero.
+U256 inv_mod(const U256& a, const U256& m);
 
 }  // namespace bft::crypto

@@ -96,17 +96,21 @@ void Sha256::update(ByteView data) {
 }
 
 Hash256 Sha256::finish() {
+  // 0x80, zeros up to byte 56 of a block, then the 64-bit big-endian bit
+  // length: one block, or two when fewer than 9 bytes are left in this one.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(ByteView(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(ByteView(&zero, 1));
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    compress(buffer_.data());
+    buffered_ = 0;
   }
-  update(ByteView(len_be, 8));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buffer_.data());
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

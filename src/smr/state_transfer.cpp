@@ -58,7 +58,8 @@ std::optional<StateReply> assemble_state(
 void ChunkSender::start(ProcessId to, Bytes encoded) {
   const auto total = static_cast<std::uint32_t>(
       (encoded.size() + kStateChunkBytes - 1) / kStateChunkBytes);
-  streams_[to] = Stream{next_id_++, std::move(encoded), total, 0, 0};
+  streams_[to] = Stream{next_id_++, std::move(encoded), total, 0, 0,
+                        std::vector<bool>(total, false)};
 }
 
 std::optional<StateChunk> ChunkSender::next(ProcessId to) {
@@ -77,11 +78,13 @@ std::optional<StateChunk> ChunkSender::next(ProcessId to) {
 
 bool ChunkSender::ack(ProcessId from, const StateChunkAck& ack) {
   const auto it = streams_.find(from);
-  if (it == streams_.end() || it->second.id != ack.transfer_id ||
-      ack.index >= it->second.total) {
+  if (it == streams_.end()) return false;
+  Stream& s = it->second;
+  if (s.id != ack.transfer_id || ack.index >= s.sent || s.is_acked[ack.index]) {
     return false;
   }
-  if (++it->second.acked >= it->second.total) streams_.erase(it);
+  s.is_acked[ack.index] = true;
+  if (++s.acked == s.total) streams_.erase(it);
   return true;
 }
 

@@ -36,8 +36,8 @@ class ChunkSender {
   void start(runtime::ProcessId to, Bytes encoded);
   /// The next fragment for `to`, if one is left and the window has room.
   std::optional<StateChunk> next(runtime::ProcessId to);
-  /// Counts `ack` against the stream to `from` (which ends once every
-  /// fragment is acked); false for an unknown stream or index.
+  /// Marks a sent fragment of the stream to `from` acked (the stream ends
+  /// once every fragment is); true only for the first ack of a sent fragment.
   bool ack(runtime::ProcessId from, const StateChunkAck& ack);
 
  private:
@@ -46,7 +46,8 @@ class ChunkSender {
     Bytes encoded;
     std::uint32_t total = 0;
     std::uint32_t sent = 0;
-    std::uint32_t acked = 0;
+    std::uint32_t acked = 0;     // distinct fragments acked
+    std::vector<bool> is_acked;  // by fragment index
   };
   std::map<runtime::ProcessId, Stream> streams_;
   std::uint64_t next_id_ = 1;

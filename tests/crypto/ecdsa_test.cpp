@@ -2,10 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "crypto/field.hpp"
+
 namespace bft::crypto {
 namespace {
 
 Hash256 msg_digest(std::string_view msg) { return sha256(to_bytes(msg)); }
+
+TEST(EcdsaTest, JacobianXCheckCoversRPlusN) {
+  // A nonce point whose x lies in [n, p) gives r = x - n; verification
+  // compares without leaving Jacobian coordinates, so it must also try
+  // (r + n) * Z^2.
+  namespace ec = secp256k1;
+  U256 x = ec::order_n();
+  std::optional<ec::Affine> point;
+  while (!(point = ec::lift_x(x, false))) add_with_carry(x, U256::one(), x);
+  ASSERT_TRUE(x < ec::fe::kP);
+  // P + G - G, so Z is not 1.
+  const ec::Affine& g = ec::generator();
+  ec::Jacobian jp = ec::add(ec::to_jacobian(*point), ec::to_jacobian(g));
+  U256 neg_y;
+  sub_with_borrow(ec::fe::kP, g.y, neg_y);
+  jp = ec::add_mixed(jp, ec::Affine{g.x, neg_y, false});
+  ASSERT_FALSE(jp.z == U256::one());
+  ASSERT_EQ(ec::to_affine(jp), *point);
+
+  U256 r;
+  sub_with_borrow(x, ec::order_n(), r);
+  EXPECT_TRUE(ec::x_mod_n_equals(jp, r));
+  U256 r_plus_1;
+  add_with_carry(r, U256::one(), r_plus_1);
+  EXPECT_FALSE(ec::x_mod_n_equals(jp, r_plus_1));
+  EXPECT_FALSE(ec::x_mod_n_equals(ec::Jacobian::infinity(), r));
+}
 
 TEST(EcdsaTest, SignVerifyRoundTrip) {
   Rng rng(1);

@@ -2,13 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "crypto/field.hpp"
 #include "crypto/secp256k1.hpp"
 
 namespace bft::crypto {
 namespace {
 
-const ModArith& fp() { return secp256k1::field(); }
+// The generic class over the secp256k1 field prime (the curve code itself
+// uses the dedicated field of field.hpp).
+const ModArith& fp() {
+  static const ModArith m(secp256k1::fe::kP);
+  return m;
+}
 
 U256 random_elem(Rng& rng) {
   return fp().reduce(U256::from_be_bytes(rng.bytes(32)));
@@ -120,6 +128,27 @@ TEST(ModArithTest, ReduceHandlesAboveModulus) {
   add_with_carry(fp().modulus(), U256::from_u64(42), above);
   EXPECT_EQ(fp().reduce(above), U256::from_u64(42));
   EXPECT_EQ(fp().reduce(U256::from_u64(42)), U256::from_u64(42));
+}
+
+TEST(ModArithTest, InvModMatchesFermat) {
+  // inv_mod (safegcd) against a^(m-2) on both secp256k1 moduli, including
+  // the extremes 1 and m-1.
+  Rng rng(12);
+  for (const ModArith* m : {&fp(), &secp256k1::order()}) {
+    U256 m_minus_1, m_minus_2;
+    sub_with_borrow(m->modulus(), U256::one(), m_minus_1);
+    sub_with_borrow(m->modulus(), U256::from_u64(2), m_minus_2);
+    std::vector<U256> values{U256::one(), U256::from_u64(2), m_minus_1};
+    for (int i = 0; i < 200; ++i) {
+      const U256 a = m->reduce(U256::from_be_bytes(rng.bytes(32)));
+      if (!a.is_zero()) values.push_back(a);
+    }
+    for (const U256& a : values) {
+      const U256 fermat = m->from_mont(m->pow(m->to_mont(a), m_minus_2));
+      EXPECT_EQ(inv_mod(a, m->modulus()), fermat) << to_hex(a.to_be_bytes());
+    }
+  }
+  EXPECT_THROW(inv_mod(U256::zero(), fp().modulus()), std::domain_error);
 }
 
 TEST(ModArithTest, ScalarFieldAlsoWorks) {

@@ -151,12 +151,17 @@ TEST(TcpClusterTest, SurvivesNodeKillAndRestart) {
   fe.submit(2 * kMatrixEnvelopes, kMatrixEnvelopes);
   ASSERT_TRUE(fe.wait_for_blocks(3 * kMatrixBlocks));
 
-  std::uint64_t reconnects = 0;
-  for (const auto& node : nodes) {
-    reconnects += node->cluster->transport().reconnects();
+  // 2f+1 nodes deliver without node 3, so the blocks above can all land
+  // before a peer's backoff timer redials it: wait for the redial itself.
+  const auto reconnects = [&] {
+    std::uint64_t total = fe.cluster.transport().reconnects();
+    for (const auto& node : nodes) total += node->cluster->transport().reconnects();
+    return total;
+  };
+  for (int waited = 0; waited < 20000 && reconnects() == 0; waited += 5) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  reconnects += fe.cluster.transport().reconnects();
-  EXPECT_GE(reconnects, 1u);
+  EXPECT_GE(reconnects(), 1u);
 
   fe.cluster.stop();
   for (auto& node : nodes) {

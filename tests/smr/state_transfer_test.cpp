@@ -96,6 +96,27 @@ TEST(ChunkStreamTest, AtMostWindowFragmentsAreOutstanding) {
   EXPECT_FALSE(sender.next(7).has_value());
 }
 
+TEST(ChunkStreamTest, DuplicateAcksFreeNoWindowSlot) {
+  // A link that duplicates frames repeats acks: only a fragment's first ack
+  // counts, and only for a fragment already sent.
+  ChunkSender sender;
+  sender.start(7, pattern(10 * kStateChunkBytes + 5));
+  std::vector<StateChunk> sent;
+  while (auto chunk = sender.next(7)) sent.push_back(*chunk);
+  ASSERT_EQ(sent.size(), kStateChunkWindow);
+  const std::uint64_t id = sent[0].transfer_id;
+  EXPECT_FALSE(sender.ack(7, StateChunkAck{id, kStateChunkWindow}));
+  for (int i = 0; i < 4; ++i) {
+    sender.ack(7, StateChunkAck{id, 0});
+    while (auto chunk = sender.next(7)) sent.push_back(*chunk);
+  }
+  EXPECT_LE(sent.size() - 1, kStateChunkWindow);  // fragment 0 is acked
+  for (int i = 0; i < 20; ++i) sender.ack(7, StateChunkAck{id, 0});
+  // Still open: acking fragment 1 is counted and frees a slot.
+  EXPECT_TRUE(sender.ack(7, StateChunkAck{id, 1}));
+  EXPECT_TRUE(sender.next(7).has_value());
+}
+
 TEST(ChunkStreamTest, MalformedHeadersAreRejected) {
   ChunkReceiver receiver;
   using F = ChunkReceiver::Fragment;
