@@ -3,18 +3,20 @@
 #include <cstring>
 
 #include "crypto/hmac.hpp"
+#include "crypto/scalar.hpp"
 
 namespace bft::crypto {
 
 namespace {
 
 namespace ec = secp256k1;
+namespace sc = secp256k1::sc;
 
 /// bits2int for a 256-bit curve with a 256-bit hash: interpret big-endian,
 /// then reduce mod n (one conditional subtraction suffices).
 U256 digest_to_scalar(const Hash256& digest) {
   const U256 e = U256::from_be_bytes(ByteView(digest.data(), digest.size()));
-  return ec::order().reduce(e);
+  return sc::reduce(e);
 }
 
 }  // namespace
@@ -31,7 +33,7 @@ Result<Signature> Signature::from_bytes(ByteView data) {
   }
   Signature sig{U256::from_be_bytes(data.subspan(0, 32)),
                 U256::from_be_bytes(data.subspan(32, 32))};
-  const U256& n = ec::order_n();
+  const U256& n = sc::kN;
   if (sig.r.is_zero() || sig.s.is_zero() || !(sig.r < n) || !(sig.s < n)) {
     return Result<Signature>::failure("signature scalar out of range");
   }
@@ -59,15 +61,13 @@ Result<PublicKey> PublicKey::from_bytes(ByteView data) {
 }
 
 bool PublicKey::verify(const Hash256& digest, const Signature& sig) const {
-  const ModArith& fn = ec::order();
-  const U256& n = ec::order_n();
+  const U256& n = sc::kN;
   if (sig.r.is_zero() || sig.s.is_zero() || !(sig.r < n) || !(sig.s < n)) {
     return false;
   }
-  // u1 = e / s and u2 = r / s: a plain factor times a Montgomery one is plain.
-  const U256 w_mont = fn.inv(fn.to_mont(sig.s));
-  const U256 u1 = fn.mul(digest_to_scalar(digest), w_mont);
-  const U256 u2 = fn.mul(sig.r, w_mont);
+  const U256 w = inv_mod(sig.s, n);
+  const U256 u1 = sc::mul(digest_to_scalar(digest), w);
+  const U256 u2 = sc::mul(sig.r, w);
   return ec::x_mod_n_equals(ec::double_scalar_mul(u1, u2, table_), sig.r);
 }
 
@@ -94,7 +94,7 @@ Result<PrivateKey> PrivateKey::from_bytes(ByteView data) {
     return Result<PrivateKey>::failure("private key must be 32 bytes");
   }
   const U256 d = U256::from_be_bytes(data);
-  if (d.is_zero() || !(d < ec::order_n())) {
+  if (d.is_zero() || !(d < sc::kN)) {
     return Result<PrivateKey>::failure("private scalar out of range");
   }
   return PrivateKey(d);
@@ -112,13 +112,17 @@ U256 rfc6979_nonce(const U256& priv, const Hash256& digest) {
 
   Hash256 v;
   v.fill(0x01);
-  Hash256 k;
-  k.fill(0x00);
+  const Hash256 k0{};  // K = 0x00 ... 00
 
-  auto mac = [&](std::initializer_list<ByteView> parts) {
-    HmacSha256 h(ByteView(k.data(), k.size()));
+  // One keyed HMAC per K, copied for each MAC under that key.
+  HmacSha256 keyed(ByteView(k0.data(), k0.size()));
+  auto mac = [&keyed](std::initializer_list<ByteView> parts) {
+    HmacSha256 h = keyed;
     for (const auto& p : parts) h.update(p);
     return h.finish();
+  };
+  auto set_k = [&keyed](const Hash256& k) {
+    keyed = HmacSha256(ByteView(k.data(), k.size()));
   };
   const ByteView vv(v.data(), v.size());
   const ByteView xv(x.data(), x.size());
@@ -126,43 +130,39 @@ U256 rfc6979_nonce(const U256& priv, const Hash256& digest) {
   const std::uint8_t zero = 0x00;
   const std::uint8_t one = 0x01;
 
-  k = mac({vv, ByteView(&zero, 1), xv, hv});
+  set_k(mac({vv, ByteView(&zero, 1), xv, hv}));
   v = mac({vv});
-  k = mac({vv, ByteView(&one, 1), xv, hv});
+  set_k(mac({vv, ByteView(&one, 1), xv, hv}));
   v = mac({vv});
 
   for (;;) {
     v = mac({vv});
     const U256 candidate = U256::from_be_bytes(vv);
-    if (!candidate.is_zero() && candidate < ec::order_n()) return candidate;
-    k = mac({vv, ByteView(&zero, 1)});
+    if (!candidate.is_zero() && candidate < sc::kN) return candidate;
+    set_k(mac({vv, ByteView(&zero, 1)}));
     v = mac({vv});
   }
 }
 
 Signature PrivateKey::sign(const Hash256& digest) const {
-  const ModArith& fn = ec::order();
   const U256 e = digest_to_scalar(digest);
 
   U256 nonce = rfc6979_nonce(d_, digest);
   for (;;) {
     const ec::Affine rp = ec::to_affine(ec::generator_mul(nonce));
-    const U256 r = fn.reduce(rp.x);
+    const U256 r = sc::reduce(rp.x);
     if (!r.is_zero()) {
-      // s = k^-1 (e + r d) mod n; a plain factor times a Montgomery one is
-      // plain.
-      const U256 kinv_mont = fn.inv(fn.to_mont(nonce));
-      const U256 sum = fn.add(e, fn.mul(r, fn.to_mont(d_)));
-      U256 s = fn.mul(sum, kinv_mont);
+      // s = k^-1 (e + r d) mod n.
+      U256 s = sc::mul(sc::add(e, sc::mul(r, d_)), inv_mod(nonce, sc::kN));
       if (!s.is_zero()) {
-        if (ec::half_order() < s) s = fn.neg(s);
+        if (sc::kHalfN < s) s = sc::neg(s);
         return Signature{r, s};
       }
     }
     // Degenerate nonce (probability ~2^-256): derive a fresh one.
     const std::array<std::uint8_t, 32> seed = nonce.to_be_array();
     const Hash256 retry = sha256(ByteView(seed.data(), seed.size()));
-    nonce = fn.reduce(U256::from_be_bytes(ByteView(retry.data(), retry.size())));
+    nonce = sc::reduce(U256::from_be_bytes(ByteView(retry.data(), retry.size())));
     if (nonce.is_zero()) nonce = U256::one();
   }
 }

@@ -5,7 +5,7 @@
 // is brought back below 2^256 by folding its high half with
 // 2^256 == 0x1000003D1 (mod p), twice, then one conditional subtraction of p.
 //
-// NOTE: variable time, like the rest of src/crypto (see modarith.hpp).
+// NOTE: variable time, like the rest of src/crypto (see u256.hpp).
 #pragma once
 
 #include "crypto/u256.hpp"

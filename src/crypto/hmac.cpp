@@ -14,21 +14,21 @@ HmacSha256::HmacSha256(ByteView key) {
   }
 
   std::array<std::uint8_t, 64> ipad_key;
+  std::array<std::uint8_t, 64> opad_key;
   for (std::size_t i = 0; i < block.size(); ++i) {
     ipad_key[i] = block[i] ^ 0x36;
-    opad_key_[i] = block[i] ^ 0x5c;
+    opad_key[i] = block[i] ^ 0x5c;
   }
   inner_.update(ByteView(ipad_key.data(), ipad_key.size()));
+  outer_.update(ByteView(opad_key.data(), opad_key.size()));
 }
 
 void HmacSha256::update(ByteView data) { inner_.update(data); }
 
 Hash256 HmacSha256::finish() {
   const Hash256 inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(ByteView(opad_key_.data(), opad_key_.size()));
-  outer.update(ByteView(inner_digest.data(), inner_digest.size()));
-  return outer.finish();
+  outer_.update(ByteView(inner_digest.data(), inner_digest.size()));
+  return outer_.finish();
 }
 
 Hash256 hmac_sha256(ByteView key, ByteView data) {

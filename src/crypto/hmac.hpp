@@ -5,7 +5,8 @@
 
 namespace bft::crypto {
 
-/// Streaming HMAC-SHA256 keyed at construction.
+/// Streaming HMAC-SHA256 keyed at construction. A copy of a keyed instance
+/// MACs under the same key without hashing the key pads again.
 class HmacSha256 {
  public:
   explicit HmacSha256(ByteView key);
@@ -14,8 +15,8 @@ class HmacSha256 {
   Hash256 finish();
 
  private:
-  std::array<std::uint8_t, 64> opad_key_;
-  Sha256 inner_;
+  Sha256 inner_;  // has absorbed key ^ ipad
+  Sha256 outer_;  // has absorbed key ^ opad
 };
 
 /// One-shot convenience.

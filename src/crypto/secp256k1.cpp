@@ -5,43 +5,37 @@
 #include <vector>
 
 #include "crypto/field.hpp"
+#include "crypto/scalar.hpp"
 
 namespace bft::crypto::secp256k1 {
 
 namespace {
 
-const char* const kN =
-    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141";
-const char* const kGx =
-    "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798";
-const char* const kGy =
-    "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8";
-const char* const kLambda =
-    "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
-const char* const kBeta =
-    "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee";
+constexpr U256 kGx{{0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL,
+                    0x55A06295CE870B07ULL, 0x79BE667EF9DCBBACULL}};
+constexpr U256 kGy{{0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL,
+                    0x5DA4FBFC0E1108A8ULL, 0x483ADA7726A3C465ULL}};
+constexpr U256 kLambda{{0xDF02967C1B23BD72ULL, 0x122E22EA20816678ULL,
+                        0xA5261C028812645AULL, 0x5363AD4CC05C30E0ULL}};
+constexpr U256 kBeta{{0xC1396C28719501EEULL, 0x9CF0497512F58995ULL,
+                      0x6E64479EAC3434E9ULL, 0x7AE96A2B657C0710ULL}};
 // GLV lattice: -b1, -b2, and g_i = round(2^384 * b_(3-i) / n) with the signs
 // that make k*g_i / 2^384 round to the basis coefficients.
-const char* const kMinusB1 = "e4437ed6010e88286f547fa90abfe4c3";
-const char* const kMinusB2 =
-    "fffffffffffffffffffffffffffffffe8a280ac50774346dd765cda83db1562c";
-const char* const kG1 =
-    "3086d221a7d46bcde86c90e49284eb153daa8a1471e8ca7fe893209a45dbb031";
-const char* const kG2 =
-    "e4437ed6010e88286f547fa90abfe4c4221208ac9df506c61571b4ae8ac47f71";
+constexpr U256 kMinusB1{{0x6F547FA90ABFE4C3ULL, 0xE4437ED6010E8828ULL, 0, 0}};
+constexpr U256 kMinusB2{{0xD765CDA83DB1562CULL, 0x8A280AC50774346DULL,
+                         0xFFFFFFFFFFFFFFFEULL, 0xFFFFFFFFFFFFFFFFULL}};
+constexpr U256 kG1{{0xE893209A45DBB031ULL, 0x3DAA8A1471E8CA7FULL,
+                    0xE86C90E49284EB15ULL, 0x3086D221A7D46BCDULL}};
+constexpr U256 kG2{{0x1571B4AE8AC47F71ULL, 0x221208AC9DF506C6ULL,
+                    0x6F547FA90ABFE4C4ULL, 0xE4437ED6010E8828ULL}};
 
 // Width of the NAF digits for the generator half of double_scalar_mul.
 constexpr int kGeneratorWindow = 8;
 
-const U256& beta() {
-  static const U256 b = U256::from_hex(kBeta);
-  return b;
-}
-
 Affine neg(const Affine& p) { return Affine{p.x, fe::neg(p.y), p.infinity}; }
 
 Affine endo(const Affine& p) {
-  return Affine{fe::mul(p.x, beta()), p.y, p.infinity};
+  return Affine{fe::mul(p.x, kBeta), p.y, p.infinity};
 }
 
 /// Affine forms of finite points with one shared inversion (Montgomery's
@@ -102,27 +96,6 @@ const PointTable& generator_table() {
   return table;
 }
 
-/// The lattice constants: -b1, -b2 and lambda in Montgomery form, so that
-/// fn.mul(x, c) is the plain product x * c mod n; g1 and g2 plain.
-struct GlvConstants {
-  U256 minus_b1;
-  U256 minus_b2;
-  U256 lambda;
-  U256 g1;
-  U256 g2;
-};
-
-const GlvConstants& glv() {
-  static const GlvConstants c = [] {
-    const ModArith& fn = order();
-    return GlvConstants{fn.to_mont(U256::from_hex(kMinusB1)),
-                        fn.to_mont(U256::from_hex(kMinusB2)),
-                        fn.to_mont(U256::from_hex(kLambda)),
-                        U256::from_hex(kG1), U256::from_hex(kG2)};
-  }();
-  return c;
-}
-
 /// round(k * g / 2^384).
 U256 mul_shift_384(const U256& k, const U256& g) {
   const std::array<std::uint64_t, 8> t = mul_wide(k, g);
@@ -181,23 +154,8 @@ struct NafTerm {
 
 }  // namespace
 
-const ModArith& order() {
-  static const ModArith fn(U256::from_hex(kN));
-  return fn;
-}
-
-const U256& order_n() {
-  static const U256 n = U256::from_hex(kN);
-  return n;
-}
-
-const U256& half_order() {
-  static const U256 half = shr1(order_n());
-  return half;
-}
-
 const Affine& generator() {
-  static const Affine g{U256::from_hex(kGx), U256::from_hex(kGy), false};
+  static const Affine g{kGx, kGy, false};
   return g;
 }
 
@@ -298,22 +256,20 @@ Jacobian add_mixed(const Jacobian& p, const Affine& q) {
 }
 
 GlvSplit split_lambda(const U256& k) {
-  const ModArith& fn = order();
-  const GlvConstants& c = glv();
-  const U256 kr = fn.reduce(k);
+  const U256 kr = sc::reduce(k);
   // k2 = c1*(-b1) + c2*(-b2) and k1 = k - k2*lambda, both mod n.
-  const U256 c1 = mul_shift_384(kr, c.g1);
-  const U256 c2 = mul_shift_384(kr, c.g2);
-  const U256 k2 = fn.add(fn.mul(c1, c.minus_b1), fn.mul(c2, c.minus_b2));
-  const U256 k1 = fn.sub(kr, fn.mul(k2, c.lambda));
+  const U256 c1 = mul_shift_384(kr, kG1);
+  const U256 c2 = mul_shift_384(kr, kG2);
+  const U256 k2 = sc::add(sc::mul(c1, kMinusB1), sc::mul(c2, kMinusB2));
+  const U256 k1 = sc::sub(kr, sc::mul(k2, kLambda));
   GlvSplit out{k1, k2};
   // A half above n/2 stands for a negative one.
-  if (half_order() < out.k1) {
-    out.k1 = fn.neg(out.k1);
+  if (sc::kHalfN < out.k1) {
+    out.k1 = sc::neg(out.k1);
     out.k1_negative = true;
   }
-  if (half_order() < out.k2) {
-    out.k2 = fn.neg(out.k2);
+  if (sc::kHalfN < out.k2) {
+    out.k2 = sc::neg(out.k2);
     out.k2_negative = true;
   }
   return out;
@@ -360,7 +316,7 @@ bool x_mod_n_equals(const Jacobian& p, const U256& r) {
   const U256 zz = fe::sqr(p.z);
   if (fe::mul(r, zz) == p.x) return true;
   U256 r_plus_n;
-  if (add_with_carry(r, order_n(), r_plus_n) != 0 || !(r_plus_n < fe::kP)) {
+  if (add_with_carry(r, sc::kN, r_plus_n) != 0 || !(r_plus_n < fe::kP)) {
     return false;
   }
   return fe::mul(r_plus_n, zz) == p.x;

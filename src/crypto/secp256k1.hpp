@@ -11,23 +11,16 @@
 //     endomorphism lambda*(x, y) = (beta*x, y) into ~128-bit halves and
 //     interleaves the width-w NAFs of all four over affine odd-multiple
 //     tables of G, lambda*G (static) and of Q, lambda*Q (PointTable).
-// Variable time — see the side-channel note in modarith.hpp.
+// Scalars mod n are plain integers too (scalar.hpp). Variable time — see the
+// side-channel note in u256.hpp.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "crypto/modarith.hpp"
+#include "crypto/u256.hpp"
 
 namespace bft::crypto::secp256k1 {
-
-/// Scalar arithmetic (mod n, the group order).
-const ModArith& order();
-
-/// Curve order n as an integer.
-const U256& order_n();
-/// n / 2 rounded down (for low-s signature normalization).
-const U256& half_order();
 
 /// Affine point.
 struct Affine {

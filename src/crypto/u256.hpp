@@ -1,8 +1,13 @@
 // 256-bit unsigned integer on four 64-bit little-endian limbs.
 //
-// Substrate for the secp256k1 field/scalar arithmetic. Only the operations
-// the EC code needs are provided; everything is branch-light and allocation
-// free.
+// Substrate for the secp256k1 field (field.hpp) and scalar (scalar.hpp)
+// arithmetic, and inv_mod, the one modular inversion both use. Only the
+// operations the EC code needs are provided; everything is allocation free.
+//
+// NOTE: nothing in src/crypto is constant-time. That is acceptable for a
+// research reproduction whose threat model is protocol-level Byzantine
+// behaviour, not local side channels; do not reuse for production key
+// handling.
 #pragma once
 
 #include <array>
@@ -57,5 +62,10 @@ std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b);
 
 /// Logical shift right by one bit.
 U256 shr1(const U256& a);
+
+/// a^-1 mod m by the Bernstein-Yang safegcd (batches of 62 divsteps, see
+/// u256.cpp), for an odd m and 0 < a < m with gcd(a, m) == 1. Variable time
+/// (see the note above); throws std::domain_error on zero.
+U256 inv_mod(const U256& a, const U256& m);
 
 }  // namespace bft::crypto

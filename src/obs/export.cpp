@@ -59,7 +59,18 @@ void append_kv(std::string& out, const std::string& key, const std::string& raw,
                bool& first) {
   if (!first) out += ",";
   first = false;
-  out += "\"" + json_escape(key) + "\":" + raw;
+  out += "\"";
+  out += json_escape(key);
+  out += "\":";
+  out += raw;
+}
+
+/// text as a JSON string literal.
+std::string quoted(const std::string& text) {
+  std::string out = "\"";
+  out += json_escape(text);
+  out += '"';
+  return out;
 }
 
 std::string ns_to_ms(std::int64_t ns) {
@@ -78,7 +89,7 @@ std::string to_json(const MetricsRegistry& registry, const TraceRing* trace,
     std::string section;
     bool first = true;
     for (const auto& [k, v] : labels) {
-      append_kv(section, k, "\"" + json_escape(v) + "\"", first);
+      append_kv(section, k, quoted(v), first);
     }
     append_kv(out, "labels", "{" + section + "}", top_first);
   }
@@ -109,7 +120,7 @@ std::string to_json(const MetricsRegistry& registry, const TraceRing* trace,
         const LatencyHistogram& h = *entry.histogram;
         std::string body;
         bool first = true;
-        append_kv(body, "unit", "\"" + json_escape(entry.unit) + "\"", first);
+        append_kv(body, "unit", quoted(entry.unit), first);
         append_kv(body, "count",
                   json_number(static_cast<double>(h.count())), first);
         append_kv(body, "p50",

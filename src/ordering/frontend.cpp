@@ -42,8 +42,7 @@ void Frontend::submit(Bytes envelope) {
   request.client = env().self();
   request.seq = next_seq_++;
   if (options_.track_latency) {
-    inflight_[crypto::hash_hex(crypto::sha256(envelope))] =
-        Inflight{env().now(), request.seq};
+    inflight_[crypto::sha256(envelope)] = Inflight{env().now(), request.seq};
   }
   if (options_.trace != nullptr) {
     options_.trace->record(obs::TraceStage::kSubmit, env().now(), env().self(),
@@ -127,8 +126,7 @@ void Frontend::consume(runtime::Verified&& verified) {
     return;
   }
 
-  const std::string digest = crypto::hash_hex(crypto::sha256(sb.block.encode()));
-  Tally& tally = tallies_[number][digest];
+  Tally& tally = tallies_[number][crypto::sha256(sb.block.encode())];
   tally.senders.insert(from);
   if (!tally.has_block) {
     tally.block = std::move(sb.block);
@@ -164,7 +162,7 @@ void Frontend::deliver(const ledger::Block& block) {
   }
   if (options_.track_latency) {
     for (const Bytes& envelope : block.envelopes) {
-      const auto it = inflight_.find(crypto::hash_hex(crypto::sha256(envelope)));
+      const auto it = inflight_.find(crypto::sha256(envelope));
       if (it != inflight_.end()) {
         const std::int64_t delta = env().now() - it->second.at;
         latencies_.add(static_cast<double>(delta) / 1e6);

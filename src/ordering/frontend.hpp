@@ -92,8 +92,8 @@ class Frontend : public runtime::Actor {
   std::uint64_t next_seq_ = 1;
   std::uint64_t submitted_ = 0;
 
-  // number -> block-digest hex -> tally
-  std::map<std::uint64_t, std::map<std::string, Tally>> tallies_;
+  // number -> block digest -> tally
+  std::map<std::uint64_t, std::map<crypto::Hash256, Tally>> tallies_;
   std::uint64_t next_delivery_number_ = 1;
   std::map<std::uint64_t, ledger::Block> ready_;  // quorum reached, not in order yet
 
@@ -101,7 +101,7 @@ class Frontend : public runtime::Actor {
     runtime::TimePoint at = 0;  // submit time
     std::uint64_t seq = 0;      // request sequence (trace key)
   };
-  std::map<std::string, Inflight> inflight_;  // envelope digest -> submit info
+  std::map<crypto::Hash256, Inflight> inflight_;  // envelope digest -> submit info
   Histogram latencies_;
   std::uint64_t delivered_blocks_ = 0;
   std::uint64_t delivered_envelopes_ = 0;

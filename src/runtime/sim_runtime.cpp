@@ -20,32 +20,20 @@ class SimCluster::ProcessEnv final : public Env {
 
   void send(ProcessId to, Payload payload) override {
     if (cluster_.crashed_.count(id_)) return;
-    FilterVerdict verdict;
+    sim::LinkVerdict verdict;
     if (cluster_.filter_) verdict = cluster_.filter_(id_, to, payload.view());
-    if (verdict.action == FilterAction::deliver && cluster_.fault_model_) {
-      const sim::LinkVerdict lv = cluster_.fault_model_->decide(id_, to, now());
-      if (lv.action.has_value()) {
-        switch (*lv.action) {
-          case sim::LinkFaultKind::drop:
-            verdict = FilterAction::drop;
-            break;
-          case sim::LinkFaultKind::delay:
-            verdict = FilterVerdict(FilterAction::delay, lv.delay);
-            break;
-          case sim::LinkFaultKind::duplicate:
-            verdict = FilterVerdict(FilterAction::duplicate, lv.delay);
-            break;
-          case sim::LinkFaultKind::corrupt:
-            verdict = FilterAction::corrupt;
-            break;
-        }
-      }
+    if (!verdict.action && cluster_.fault_model_) {
+      verdict = cluster_.fault_model_->decide(id_, to, now());
+    }
+    if (!verdict.action) {
+      transmit(to, std::move(payload), now());
+      return;
     }
 
-    switch (verdict.action) {
-      case FilterAction::drop:
+    switch (*verdict.action) {
+      case sim::LinkFaultKind::drop:
         return;
-      case FilterAction::delay:
+      case sim::LinkFaultKind::delay:
         // The message is already on the wire: it leaves even if the sender
         // crashes meanwhile, so the deferred transmit skips the crash check.
         cluster_.scheduler_.schedule_at(
@@ -54,7 +42,7 @@ class SimCluster::ProcessEnv final : public Env {
               transmit(to, std::move(payload), cluster_.scheduler_.now());
             });
         return;
-      case FilterAction::duplicate: {
+      case sim::LinkFaultKind::duplicate: {
         Payload copy = payload;  // refcount bump, no deep copy
         cluster_.scheduler_.schedule_at(
             now() + std::max<Duration>(verdict.delay, 1),
@@ -64,7 +52,7 @@ class SimCluster::ProcessEnv final : public Env {
         transmit(to, std::move(payload), now());
         return;
       }
-      case FilterAction::corrupt:
+      case sim::LinkFaultKind::corrupt:
         if (!payload.empty()) {
           // The only path that mutates bytes: corrupt a private copy so other
           // holders of the shared buffer stay untouched.
@@ -74,9 +62,6 @@ class SimCluster::ProcessEnv final : public Env {
               static_cast<std::uint8_t>(1 + cluster_.fault_rng_.uniform(255));
           payload = Payload(std::move(mutated));
         }
-        transmit(to, std::move(payload), now());
-        return;
-      case FilterAction::deliver:
         transmit(to, std::move(payload), now());
         return;
     }

@@ -18,32 +18,6 @@
 
 namespace bft::runtime {
 
-/// Verdict of a message filter (fault injection for tests).
-enum class FilterAction : std::uint8_t {
-  deliver,
-  drop,
-  /// Deliver after an extra latency (FilterVerdict::delay).
-  delay,
-  /// Deliver normally plus a second copy after FilterVerdict::delay.
-  duplicate,
-  /// Flip one seeded-random byte of the payload, then deliver. Receivers must
-  /// treat the result as Byzantine input (DecodeError, bad signature, ...).
-  corrupt,
-};
-
-/// A filter's full answer; implicitly constructible from a bare FilterAction
-/// so existing deliver/drop filters keep working unchanged.
-struct FilterVerdict {
-  FilterVerdict(FilterAction a = FilterAction::deliver, Duration d = 0)
-      : action(a), delay(d) {}
-  FilterAction action;
-  Duration delay;  // used by delay / duplicate
-
-  friend bool operator==(const FilterVerdict& v, FilterAction a) {
-    return v.action == a;
-  }
-};
-
 class SimCluster {
  public:
   /// `network` decides message delivery times; `seed` feeds per-process RNGs.
@@ -82,8 +56,8 @@ class SimCluster {
 
   /// Installs a message filter consulted on every send; nullptr clears it.
   /// A non-deliver verdict from the filter wins over the fault plan.
-  using Filter = std::function<FilterVerdict(ProcessId from, ProcessId to,
-                                             ByteView payload)>;
+  using Filter = std::function<sim::LinkVerdict(ProcessId from, ProcessId to,
+                                                ByteView payload)>;
   void set_filter(Filter filter) { filter_ = std::move(filter); }
 
   /// Schedules the plan's crashes/recoveries and applies its partitions and

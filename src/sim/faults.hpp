@@ -40,7 +40,16 @@ using ProcessId = std::uint32_t;
 constexpr SimTime kSimForever = std::numeric_limits<SimTime>::max();
 
 /// What a link fault does to a matched message.
-enum class LinkFaultKind : std::uint8_t { drop, delay, duplicate, corrupt };
+enum class LinkFaultKind : std::uint8_t {
+  drop,
+  /// Deliver after an extra latency (LinkVerdict::delay).
+  delay,
+  /// Deliver normally plus a second copy after LinkVerdict::delay.
+  duplicate,
+  /// Flip one seeded-random byte of the payload, then deliver. Receivers must
+  /// treat the result as Byzantine input (DecodeError, bad signature, ...).
+  corrupt,
+};
 
 /// One probabilistic message-level fault rule.
 struct LinkFault {
@@ -109,7 +118,8 @@ struct FaultPlan {
   }
 };
 
-/// Outcome of evaluating the message-level faults for one send.
+/// Outcome of evaluating the message-level faults for one send (also the
+/// answer of a SimCluster test filter).
 struct LinkVerdict {
   /// nullopt = deliver untouched.
   std::optional<LinkFaultKind> action;

@@ -64,32 +64,6 @@ class ClusterConfig {
   consensus::QuorumSystem quorums_;
 };
 
-/// CPU cost model charged on the simulated runtime (no-ops on real threads).
-/// Calibrated in DESIGN.md §6 against the paper's Dell R410 numbers.
-struct CostModel {
-  runtime::Duration per_request = runtime::usec(6);
-  runtime::Duration per_consensus_msg = runtime::usec(15);
-  /// Per-byte handling cost of proposal payloads (ns/byte).
-  runtime::Duration per_value_byte = 1;
-  /// ECDSA block signature (paper: 8.4 ksig/s across 16 workers).
-  runtime::Duration signature = runtime::usec(1905);
-  /// Staged-pipeline split: the share of per_request / per_consensus_msg
-  /// spent in the thread-safe prologue (wire decode, structural checks,
-  /// signature verification) rather than in state mutation. With the
-  /// runner's prologue workers enabled (--workers N) the simulated runtime
-  /// serves this share on N parallel servers instead of the protocol FIFO
-  /// thread; serial runs charge prologue + epilogue as one protocol-thread
-  /// job, so the totals are identical. Per-value-byte decode cost rides with
-  /// the prologue. The splits (5/6 for requests, 2/3 for consensus messages)
-  /// mirror where the real replica's cycles go: deserialization, digesting
-  /// and MAC/signature checks dominate request admission (cf. the Fabric
-  /// bottleneck analyses in PAPERS.md) leaving only the ~1 µs pool insert as
-  /// ordered mutation, while consensus handlers keep a fatter ordered tail
-  /// (quorum bookkeeping, instance state machines).
-  runtime::Duration request_prologue = runtime::usec(5);
-  runtime::Duration consensus_prologue = runtime::usec(10);
-};
-
 struct ReplicaParams {
   std::uint32_t batch_max = 400;  // §6.2: BFT-SMaRt batch limit
   /// WHEAT tentative execution: deliver after WRITE, run ACCEPT async.
@@ -108,7 +82,6 @@ struct ReplicaParams {
   /// stays undecided for this long forces a state transfer (recovers
   /// decisions whose ACCEPT quorum this replica missed).
   runtime::Duration stall_timeout = runtime::msec(1000);
-  CostModel costs;
   /// Optional observability sinks (non-owning; must outlive the replica).
   /// Null disables instrumentation entirely — the hot path only pays a
   /// pointer test. Metric names are fixed (no per-node prefix), so wire these

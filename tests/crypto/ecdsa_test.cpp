@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "crypto/field.hpp"
+#include "crypto/scalar.hpp"
 
 namespace bft::crypto {
 namespace {
@@ -16,7 +17,7 @@ TEST(EcdsaTest, JacobianXCheckCoversRPlusN) {
   // compares without leaving Jacobian coordinates, so it must also try
   // (r + n) * Z^2.
   namespace ec = secp256k1;
-  U256 x = ec::order_n();
+  U256 x = ec::sc::kN;
   std::optional<ec::Affine> point;
   while (!(point = ec::lift_x(x, false))) add_with_carry(x, U256::one(), x);
   ASSERT_TRUE(x < ec::fe::kP);
@@ -30,7 +31,7 @@ TEST(EcdsaTest, JacobianXCheckCoversRPlusN) {
   ASSERT_EQ(ec::to_affine(jp), *point);
 
   U256 r;
-  sub_with_borrow(x, ec::order_n(), r);
+  sub_with_borrow(x, ec::sc::kN, r);
   EXPECT_TRUE(ec::x_mod_n_equals(jp, r));
   U256 r_plus_1;
   add_with_carry(r, U256::one(), r_plus_1);
@@ -67,7 +68,7 @@ TEST(EcdsaTest, VerifyRejectsTamperedSignature) {
   const PrivateKey key = PrivateKey::generate(rng);
   const Hash256 digest = msg_digest("tamper");
   Signature sig = key.sign(digest);
-  sig.r = secp256k1::order().add(sig.r, U256::one());
+  sig.r = secp256k1::sc::add(sig.r, U256::one());
   EXPECT_FALSE(key.public_key().verify(digest, sig));
 }
 
@@ -79,7 +80,7 @@ TEST(EcdsaTest, VerifyRejectsZeroScalars) {
   EXPECT_FALSE(key.public_key().verify(digest, Signature{U256::zero(), sig.s}));
   EXPECT_FALSE(key.public_key().verify(digest, Signature{sig.r, U256::zero()}));
   EXPECT_FALSE(key.public_key().verify(
-      digest, Signature{secp256k1::order_n(), sig.s}));
+      digest, Signature{secp256k1::sc::kN, sig.s}));
 }
 
 TEST(EcdsaTest, DeterministicSignatures) {
@@ -94,7 +95,7 @@ TEST(EcdsaTest, LowSNormalization) {
   const PrivateKey key = PrivateKey::generate(rng);
   for (int i = 0; i < 20; ++i) {
     const Signature sig = key.sign(msg_digest("msg " + std::to_string(i)));
-    EXPECT_FALSE(secp256k1::half_order() < sig.s) << "high-s signature produced";
+    EXPECT_FALSE(secp256k1::sc::kHalfN < sig.s) << "high-s signature produced";
   }
 }
 
@@ -140,7 +141,7 @@ TEST(EcdsaTest, Rfc6979SignatureVector3) {
   const Hash256 digest = msg_digest("Satoshi Nakamoto");
   const Signature sig = key.value().sign(digest);
   EXPECT_TRUE(key.value().public_key().verify(digest, sig));
-  EXPECT_FALSE(secp256k1::half_order() < sig.s);
+  EXPECT_FALSE(secp256k1::sc::kHalfN < sig.s);
 }
 
 TEST(EcdsaTest, PublicKeySerializationRoundTrip) {
@@ -187,7 +188,7 @@ TEST(EcdsaTest, SignatureFromBytesValidates) {
 
 TEST(EcdsaTest, PrivateKeyValidation) {
   EXPECT_FALSE(PrivateKey::from_bytes(Bytes(32, 0)).ok());  // d = 0
-  EXPECT_FALSE(PrivateKey::from_bytes(secp256k1::order_n().to_be_bytes()).ok());
+  EXPECT_FALSE(PrivateKey::from_bytes(secp256k1::sc::kN.to_be_bytes()).ok());
   EXPECT_FALSE(PrivateKey::from_bytes(Bytes(31, 1)).ok());
   EXPECT_TRUE(PrivateKey::from_bytes(Bytes(32, 1)).ok());
 }

@@ -67,5 +67,35 @@ TEST(HmacTest, KeySensitivity) {
   EXPECT_NE(hmac_sha256(to_bytes("k1"), data), hmac_sha256(to_bytes("k2"), data));
 }
 
+TEST(HmacTest, CopiedKeyedInstanceMatchesFreshOne) {
+  // RFC 4231 case 2 through a copy of a keyed instance, twice from the same
+  // original: the copies share the absorbed key pads, not their state.
+  const Bytes key = to_bytes("Jefe");
+  const Bytes data = to_bytes("what do ya want for nothing?");
+  const HmacSha256 keyed(key);
+  for (int i = 0; i < 2; ++i) {
+    HmacSha256 copy = keyed;
+    copy.update(data);
+    EXPECT_EQ(hash_hex(copy.finish()),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  }
+}
+
+TEST(HmacTest, CopiedKeyedInstanceMatchesFreshOneForAnyMessage) {
+  // Empty, one-block and multi-block messages, under a long (hashed) key
+  // and a short one.
+  for (const Bytes& key : {Bytes(131, 0xaa), to_bytes("k")}) {
+    const HmacSha256 keyed(key);
+    for (const std::size_t size : {0u, 1u, 55u, 64u, 65u, 200u}) {
+      const Bytes data(size, 0x5c);
+      HmacSha256 copy = keyed;
+      copy.update(data);
+      HmacSha256 fresh(key);
+      fresh.update(data);
+      EXPECT_EQ(copy.finish(), fresh.finish()) << size;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bft::crypto

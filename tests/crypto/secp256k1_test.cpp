@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "crypto/field.hpp"
+#include "crypto/scalar.hpp"
 
 namespace bft::crypto::secp256k1 {
 namespace {
@@ -89,13 +90,13 @@ TEST(Secp256k1Test, InverseSumsToInfinity) {
 }
 
 TEST(Secp256k1Test, OrderTimesGeneratorIsInfinity) {
-  EXPECT_TRUE(point_mul(generator(), order_n()).is_infinity());
-  EXPECT_TRUE(generator_mul(order_n()).is_infinity());
+  EXPECT_TRUE(point_mul(generator(), sc::kN).is_infinity());
+  EXPECT_TRUE(generator_mul(sc::kN).is_infinity());
 }
 
 TEST(Secp256k1Test, NMinusOneGeneratorIsNegG) {
   U256 n_minus_1;
-  sub_with_borrow(order_n(), U256::one(), n_minus_1);
+  sub_with_borrow(sc::kN, U256::one(), n_minus_1);
   const Affine p = to_affine(generator_mul(n_minus_1));
   EXPECT_EQ(p.x, generator().x);
   EXPECT_EQ(p.y, neg_field(generator().y));
@@ -104,7 +105,7 @@ TEST(Secp256k1Test, NMinusOneGeneratorIsNegG) {
 TEST(Secp256k1Test, GeneratorMulMatchesScalarMul) {
   Rng rng(55);
   for (int i = 0; i < 10; ++i) {
-    const U256 k = order().reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 k = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
     EXPECT_EQ(to_affine(generator_mul(k)), mul_affine(generator(), k));
   }
 }
@@ -113,10 +114,9 @@ TEST(Secp256k1Test, ScalarMulDistributesOverAddition) {
   // (a+b)G == aG + bG for random scalars.
   Rng rng(66);
   for (int i = 0; i < 8; ++i) {
-    const ModArith& fn = order();
-    const U256 a = fn.reduce(U256::from_be_bytes(rng.bytes(32)));
-    const U256 b = fn.reduce(U256::from_be_bytes(rng.bytes(32)));
-    const U256 ab = fn.add(a, b);
+    const U256 a = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 b = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 ab = sc::add(a, b);
     const Affine lhs = to_affine(generator_mul(ab));
     const Affine rhs = to_affine(add(generator_mul(a), generator_mul(b)));
     EXPECT_EQ(lhs, rhs);
@@ -126,11 +126,10 @@ TEST(Secp256k1Test, ScalarMulDistributesOverAddition) {
 TEST(Secp256k1Test, DoubleScalarMulMatchesSeparate) {
   Rng rng(77);
   for (int i = 0; i < 6; ++i) {
-    const ModArith& fn = order();
-    const U256 u1 = fn.reduce(U256::from_be_bytes(rng.bytes(32)));
-    const U256 u2 = fn.reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 u1 = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 u2 = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
     const Affine q = to_affine(generator_mul(
-        fn.reduce(U256::from_be_bytes(rng.bytes(32)))));
+        sc::reduce(U256::from_be_bytes(rng.bytes(32)))));
     const Affine combined = to_affine(double_scalar_mul(u1, u2, PointTable(q)));
     const Affine separate =
         to_affine(add(generator_mul(u1), point_mul(q, u2)));
@@ -141,7 +140,7 @@ TEST(Secp256k1Test, DoubleScalarMulMatchesSeparate) {
 TEST(Secp256k1Test, ResultsStayOnCurve) {
   Rng rng(88);
   for (int i = 0; i < 10; ++i) {
-    const U256 k = order().reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 k = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
     if (k.is_zero()) continue;
     EXPECT_TRUE(on_curve(to_affine(generator_mul(k))));
   }
@@ -150,7 +149,7 @@ TEST(Secp256k1Test, ResultsStayOnCurve) {
 TEST(Secp256k1Test, LiftXRecoversPoints) {
   Rng rng(99);
   for (int i = 0; i < 10; ++i) {
-    const U256 k = order().reduce(U256::from_be_bytes(rng.bytes(32)));
+    const U256 k = sc::reduce(U256::from_be_bytes(rng.bytes(32)));
     if (k.is_zero()) continue;
     const Affine p = to_affine(generator_mul(k));
     const auto lifted = lift_x(p.x, p.y.is_odd());
@@ -191,7 +190,7 @@ Jacobian reference_mul(const Affine& p, const U256& k) {
 }
 
 U256 random_scalar(Rng& rng) {
-  return order().reduce(U256::from_be_bytes(rng.bytes(32)));
+  return sc::reduce(U256::from_be_bytes(rng.bytes(32)));
 }
 
 U256 minus(const U256& a, const U256& b) {
@@ -215,7 +214,7 @@ U256 scalar_with_signs(bool k1_negative, bool k2_negative) {
 /// 0, 1, 2, n-1, n-2, 2^255, all-15 nibbles (over 256, 252 and 128 bits),
 /// lambda, n-lambda, and scalars for each pair of GLV half signs.
 std::vector<U256> edge_scalars() {
-  const U256& n = order_n();
+  const U256& n = sc::kN;
   U256 top_bit;
   top_bit.limbs[3] = std::uint64_t{1} << 63;
   const U256 all_ones{{~0ULL, ~0ULL, ~0ULL, ~0ULL}};
@@ -269,17 +268,15 @@ TEST(Secp256k1Test, DoubleScalarMulMatchesDoubleAndAdd) {
 }
 
 TEST(Secp256k1Test, SplitLambdaRecombinesWithShortHalves) {
-  const ModArith& fn = order();
-  const U256 lambda_mont = fn.to_mont(lambda());
   U256 bound;  // 2^128
   bound.limbs[2] = 1;
   for (const U256& k : differential_scalars()) {
     const GlvSplit s = split_lambda(k);
     EXPECT_TRUE(s.k1 < bound);
     EXPECT_TRUE(s.k2 < bound);
-    const U256 k1 = s.k1_negative ? fn.neg(s.k1) : s.k1;
-    const U256 k2 = s.k2_negative ? fn.neg(s.k2) : s.k2;
-    EXPECT_EQ(fn.add(k1, fn.mul(k2, lambda_mont)), fn.reduce(k));
+    const U256 k1 = s.k1_negative ? sc::neg(s.k1) : s.k1;
+    const U256 k2 = s.k2_negative ? sc::neg(s.k2) : s.k2;
+    EXPECT_EQ(sc::add(k1, sc::mul(k2, lambda())), sc::reduce(k));
   }
 }
 

@@ -12,6 +12,12 @@ namespace {
 using sim::kMillisecond;
 using sim::kSecond;
 
+/// The bytes of `prefix` followed by i in decimal.
+Bytes numbered(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return to_bytes(prefix);
+}
+
 TEST(ChannelEnvelopeTest, RoundTrip) {
   const ChannelEnvelope ce{"orders", to_bytes("payload")};
   const ChannelEnvelope back = ChannelEnvelope::decode(ce.encode());
@@ -90,8 +96,8 @@ TEST(MultiChannelTest, ChannelsGetIndependentChains) {
   MultiChannelHarness h(3, 0);
   // Interleave submissions to both channels.
   for (int i = 0; i < 9; ++i) {
-    h.submit_at((10 + i * 10) * kMillisecond, 0, to_bytes("o" + std::to_string(i)));
-    h.submit_at((15 + i * 10) * kMillisecond, 1, to_bytes("p" + std::to_string(i)));
+    h.submit_at((10 + i * 10) * kMillisecond, 0, numbered("o", i));
+    h.submit_at((15 + i * 10) * kMillisecond, 1, numbered("p", i));
   }
   h.cluster.run_until(2 * kSecond);
 
@@ -114,7 +120,7 @@ TEST(MultiChannelTest, ChannelsGetIndependentChains) {
 TEST(MultiChannelTest, FrontendsIgnoreOtherChannelsBlocks) {
   MultiChannelHarness h(2, 0);
   for (int i = 0; i < 4; ++i) {
-    h.submit_at((10 + i * 10) * kMillisecond, 0, to_bytes("o" + std::to_string(i)));
+    h.submit_at((10 + i * 10) * kMillisecond, 0, numbered("o", i));
   }
   h.cluster.run_until(kSecond);
   EXPECT_EQ(h.stores[0]->height(), 2u);
@@ -126,7 +132,7 @@ TEST(MultiChannelTest, BatchTimeoutCutsPartialBlocks) {
   // Block size 100 never fills; the time-to-cut marker flushes stragglers.
   MultiChannelHarness h(100, runtime::msec(200));
   for (int i = 0; i < 7; ++i) {
-    h.submit_at((10 + i) * kMillisecond, 0, to_bytes("o" + std::to_string(i)));
+    h.submit_at((10 + i) * kMillisecond, 0, numbered("o", i));
   }
   h.cluster.run_until(3 * kSecond);
   ASSERT_EQ(h.stores[0]->height(), 1u);
@@ -141,10 +147,10 @@ TEST(MultiChannelTest, BatchTimeoutRepeatsForTrickle) {
   MultiChannelHarness h(100, runtime::msec(150));
   // Two bursts far apart: each gets flushed by its own marker.
   for (int i = 0; i < 3; ++i) {
-    h.submit_at((10 + i) * kMillisecond, 0, to_bytes("a" + std::to_string(i)));
+    h.submit_at((10 + i) * kMillisecond, 0, numbered("a", i));
   }
   for (int i = 0; i < 4; ++i) {
-    h.submit_at(kSecond + i * kMillisecond, 0, to_bytes("b" + std::to_string(i)));
+    h.submit_at(kSecond + i * kMillisecond, 0, numbered("b", i));
   }
   h.cluster.run_until(4 * kSecond);
   ASSERT_EQ(h.stores[0]->height(), 2u);
@@ -156,7 +162,7 @@ TEST(MultiChannelTest, BatchTimeoutRepeatsForTrickle) {
 TEST(MultiChannelTest, BatchTimeoutDoesNotFireWithoutPending) {
   MultiChannelHarness h(3, runtime::msec(100));
   for (int i = 0; i < 6; ++i) {
-    h.submit_at((10 + i) * kMillisecond, 0, to_bytes("o" + std::to_string(i)));
+    h.submit_at((10 + i) * kMillisecond, 0, numbered("o", i));
   }
   h.cluster.run_until(2 * kSecond);
   // Exactly two full blocks; no extra partial cuts appeared afterwards.

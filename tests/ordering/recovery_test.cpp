@@ -43,9 +43,9 @@ TEST(OrderingRecoveryTest, IsolatedNodeRebuildsOrderingStateViaTransfer) {
   cluster.set_filter([&cluster](runtime::ProcessId from, runtime::ProcessId to,
                                 ByteView) {
     if (cluster.now() < 2 * kSecond && (from == 3 || to == 3)) {
-      return runtime::FilterAction::drop;
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
     }
-    return runtime::FilterAction::deliver;
+    return sim::LinkVerdict{};
   });
   for (int i = 0; i < 40; ++i) {
     cluster.schedule_at((10 + i * 20) * kMillisecond, [&frontend, i] {
@@ -101,9 +101,9 @@ TEST(OrderingRecoveryTest, IsolatedNodeCatchesUpViaChunkedTransfer) {
   cluster.set_filter([&cluster](runtime::ProcessId from, runtime::ProcessId to,
                                 ByteView) {
     if (cluster.now() < 2 * kSecond && (from == 3 || to == 3)) {
-      return runtime::FilterAction::drop;
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
     }
-    return runtime::FilterAction::deliver;
+    return sim::LinkVerdict{};
   });
   // Force streaming: the checkpoint the laggard catches up from carries the
   // push cache's blocks, so 40 envelopes of 2 KiB take the reply past

@@ -144,9 +144,8 @@ TEST(OrderingServiceTest, LateRegisteredReceiverGetsEarlierBlocks) {
   s.cluster.set_filter([](runtime::ProcessId, runtime::ProcessId,
                           ByteView payload) {
     return smr::peek_kind(payload) == smr::MsgKind::register_receiver
-               ? runtime::FilterVerdict(runtime::FilterAction::delay,
-                                        runtime::msec(500))
-               : runtime::FilterVerdict(runtime::FilterAction::deliver);
+               ? sim::LinkVerdict{sim::LinkFaultKind::delay, runtime::msec(500)}
+               : sim::LinkVerdict{};
   });
   for (int i = 0; i < 20; ++i) {
     s.submit_at(kMillisecond + i * kMillisecond, 0, envelope(i));
@@ -171,8 +170,10 @@ TEST(OrderingServiceTest, SignatureVerifyingFrontendNeedsOnlyFPlus1) {
   // Only f+1 = 2 nodes reachable by the frontend: drop pushes from nodes 2,3.
   s.cluster.set_filter([](runtime::ProcessId from, runtime::ProcessId to,
                           ByteView) {
-    if ((from == 2 || from == 3) && to >= 100) return runtime::FilterAction::drop;
-    return runtime::FilterAction::deliver;
+    if ((from == 2 || from == 3) && to >= 100) {
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
+    }
+    return sim::LinkVerdict{};
   });
   for (int i = 0; i < 10; ++i) s.submit_at(kMillisecond, 0, envelope(i));
   s.cluster.run_until(3 * kSecond);
@@ -184,8 +185,10 @@ TEST(OrderingServiceTest, NonVerifyingFrontendNeeds2FPlus1) {
   // Only 2 nodes reach the frontend: 2 < 2f+1 = 3, nothing may deliver.
   s.cluster.set_filter([](runtime::ProcessId from, runtime::ProcessId to,
                           ByteView) {
-    if ((from == 2 || from == 3) && to >= 100) return runtime::FilterAction::drop;
-    return runtime::FilterAction::deliver;
+    if ((from == 2 || from == 3) && to >= 100) {
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
+    }
+    return sim::LinkVerdict{};
   });
   for (int i = 0; i < 10; ++i) s.submit_at(kMillisecond, 0, envelope(i));
   s.cluster.run_until(3 * kSecond);

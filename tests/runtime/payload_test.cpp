@@ -123,7 +123,9 @@ TEST(RealRuntimeTest, BoundedInboxShedsOverflow) {
   // Before start nothing drains the inbox, so the bound is exact: two
   // deliveries fit, three are shed and counted.
   for (int i = 0; i < 5; ++i) {
-    cluster.deliver_local(0, 7, Payload(to_bytes("m" + std::to_string(i))));
+    std::string message = "m";
+    message += std::to_string(i);
+    cluster.deliver_local(0, 7, Payload(to_bytes(message)));
   }
   EXPECT_EQ(cluster.inbox_dropped(), 3u);
 }

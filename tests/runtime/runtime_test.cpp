@@ -228,8 +228,8 @@ TEST(SimRuntimeTest, FilterDelayPostponesDelivery) {
   cluster.add_process(0, &pinger);
   cluster.add_process(1, &ponger);
   cluster.set_filter([](ProcessId from, ProcessId, ByteView) {
-    return from == 0 ? FilterVerdict(FilterAction::delay, msec(200))
-                     : FilterVerdict(FilterAction::deliver);
+    return from == 0 ? sim::LinkVerdict{sim::LinkFaultKind::delay, msec(200)}
+                     : sim::LinkVerdict{};
   });
   cluster.run_until(100 * kMillisecond);
   EXPECT_TRUE(pinger.replies().empty());  // ping still in flight
@@ -244,8 +244,8 @@ TEST(SimRuntimeTest, FilterDuplicateDeliversTwoCopies) {
   cluster.add_process(0, &pinger);
   cluster.add_process(1, &ponger);
   cluster.set_filter([](ProcessId from, ProcessId, ByteView) {
-    return from == 0 ? FilterVerdict(FilterAction::duplicate, msec(5))
-                     : FilterVerdict(FilterAction::deliver);
+    return from == 0 ? sim::LinkVerdict{sim::LinkFaultKind::duplicate, msec(5)}
+                     : sim::LinkVerdict{};
   });
   cluster.run_until(sim::kSecond);
   EXPECT_EQ(pinger.replies().size(), 2u);  // the ponger answered both copies
@@ -266,8 +266,8 @@ TEST(SimRuntimeTest, FilterCorruptFlipsExactlyOneByte) {
   cluster.add_process(0, &pinger);
   cluster.add_process(1, &recorder);
   cluster.set_filter([](ProcessId from, ProcessId, ByteView) {
-    return from == 0 ? FilterVerdict(FilterAction::corrupt)
-                     : FilterVerdict(FilterAction::deliver);
+    return from == 0 ? sim::LinkVerdict{sim::LinkFaultKind::corrupt}
+                     : sim::LinkVerdict{};
   });
   cluster.run_until(sim::kSecond);
   ASSERT_EQ(recorder.received_.size(), 1u);
@@ -289,7 +289,8 @@ TEST(SimRuntimeTest, FilterDropsMatchingMessages) {
   cluster.add_process(1, &ponger);
   // Drop everything node 1 sends: pings arrive, pongs do not.
   cluster.set_filter([](ProcessId from, ProcessId, ByteView) {
-    return from == 1 ? FilterAction::drop : FilterAction::deliver;
+    return from == 1 ? sim::LinkVerdict{sim::LinkFaultKind::drop}
+                     : sim::LinkVerdict{};
   });
   cluster.run_until(sim::kSecond);
   EXPECT_TRUE(pinger.replies().empty());

@@ -22,11 +22,19 @@ struct SweepCase {
   std::uint64_t seed = 7;
 
   std::string name() const {
-    std::string s = "n" + std::to_string(n);
+    std::string s = "n";
+    s += std::to_string(n);
     s += wheat ? "wheat" : "classic";
-    if (crash > 0) s += "crash" + std::to_string(crash);
-    if (drop_pct > 0) s += "drop" + std::to_string(drop_pct);
-    s += "seed" + std::to_string(seed);
+    if (crash > 0) {
+      s += "crash";
+      s += std::to_string(crash);
+    }
+    if (drop_pct > 0) {
+      s += "drop";
+      s += std::to_string(drop_pct);
+    }
+    s += "seed";
+    s += std::to_string(seed);
     return s;
   }
 };
@@ -71,10 +79,10 @@ TEST_P(SmrPropertySweep, AgreementAndCompletion) {
         const auto kind = peek_kind(payload);
         if ((kind == MsgKind::write || kind == MsgKind::accept) &&
             rng->uniform(100) < pct) {
-          return runtime::FilterAction::drop;
+          return sim::LinkVerdict{sim::LinkFaultKind::drop};
         }
       }
-      return runtime::FilterAction::deliver;
+      return sim::LinkVerdict{};
     });
   }
 

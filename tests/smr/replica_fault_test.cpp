@@ -152,13 +152,13 @@ TEST(ReplicaFaultTest, LossyNetworkStillMakesProgress) {
   auto drop_rng = std::make_shared<Rng>(99);
   h.cluster.set_filter([drop_rng](runtime::ProcessId, runtime::ProcessId,
                                   ByteView payload) {
-    if (payload.empty()) return runtime::FilterAction::deliver;
+    if (payload.empty()) return sim::LinkVerdict{};
     const auto kind = peek_kind(payload);
     if ((kind == MsgKind::write || kind == MsgKind::accept) &&
         drop_rng->uniform(10) == 0) {
-      return runtime::FilterAction::drop;
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
     }
-    return runtime::FilterAction::deliver;
+    return sim::LinkVerdict{};
   });
   int completions = 0;
   for (int i = 0; i < 30; ++i) {
@@ -180,9 +180,9 @@ TEST(ReplicaFaultTest, IsolatedReplicaCatchesUpViaStateTransfer) {
   h.cluster.set_filter([&h](runtime::ProcessId from, runtime::ProcessId to,
                             ByteView) {
     if (h.cluster.now() < 3 * kSecond && (from == 3 || to == 3)) {
-      return runtime::FilterAction::drop;
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
     }
-    return runtime::FilterAction::deliver;
+    return sim::LinkVerdict{};
   });
   for (int i = 0; i < 40; ++i) {
     h.invoke_at(kMillisecond + i * 20 * kMillisecond, 0, delta_payload(1));

@@ -114,9 +114,9 @@ TEST(ReplicaTest, ClientResendDoesNotDoubleExecute) {
                             ByteView payload) {
     if (h.cluster.now() < kSecond && !payload.empty() &&
         peek_kind(payload) == MsgKind::reply) {
-      return runtime::FilterAction::drop;
+      return sim::LinkVerdict{sim::LinkFaultKind::drop};
     }
-    return runtime::FilterAction::deliver;
+    return sim::LinkVerdict{};
   });
   int completions = 0;
   for (int i = 0; i < 10; ++i) {

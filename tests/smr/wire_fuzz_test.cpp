@@ -64,7 +64,9 @@ TEST(WireFuzzTest, Batch) {
     Request r;
     r.client = static_cast<std::uint32_t>(i);
     r.seq = static_cast<std::uint64_t>(i);
-    r.payload = to_bytes("x" + std::to_string(i));
+    std::string payload = "x";
+    payload += std::to_string(i);
+    r.payload = to_bytes(payload);
     b.requests.push_back(std::move(r));
   }
   fuzz_decoder([](ByteView d) { return Batch::decode(d); }, 2, b.encode());

@@ -55,9 +55,9 @@ TEST_F(NodeStoreTest, AppendReplayAndMetrics) {
   {
     auto store = NodeStore::open(std::move(o)).take();
     for (std::uint64_t cid = 1; cid <= 12; ++cid) {
-      ASSERT_TRUE(
-          store->append_decision(cid, to_bytes("v" + std::to_string(cid)))
-              .is_ok());
+      std::string value = "v";
+      value += std::to_string(cid);
+      ASSERT_TRUE(store->append_decision(cid, to_bytes(value)).is_ok());
     }
     EXPECT_EQ(store->wal_tail_cid(), 12u);
   }
