@@ -322,6 +322,15 @@ std::size_t OrderingNode::pending_total() const {
   return total;
 }
 
+std::size_t OrderingNode::requests_to_next_output() const {
+  std::size_t backlog = 0;
+  for (const auto& [name, state] : channels_) {
+    (void)name;
+    backlog = std::max(backlog, state.cutter.pending_count());
+  }
+  return options_.block_size - std::min(backlog, options_.block_size - 1);
+}
+
 std::vector<std::string> OrderingNode::channels() const {
   std::vector<std::string> out;
   out.reserve(channels_.size());

@@ -85,6 +85,8 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   Bytes snapshot() const override;
   void restore(ByteView snapshot) override;
   crypto::Hash256 integrity_digest() const override;
+  /// `block_size` minus the fullest cutter's backlog, at least 1.
+  std::size_t requests_to_next_output() const override;
   void on_app_timer(std::uint64_t token) override;
   void on_recover() override;
   void on_state_installed() override;

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -94,6 +95,35 @@ bool write_all(int fd, const std::uint8_t* buf, std::size_t n) {
     }
     if (rc < 0 && errno == EINTR) continue;
     return false;
+  }
+  return true;
+}
+
+/// Writes a frame's header and payload with one sendmsg, so under
+/// TCP_NODELAY the frame leaves as one segment and wakes the reader once;
+/// rides out short writes and EINTR.
+bool write_frame(int fd, std::uint8_t* header, std::size_t header_size,
+                 ByteView payload) {
+  iovec iov[2] = {{header, header_size},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) return false;
+    auto sent = static_cast<std::size_t>(rc);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& rest = *msg.msg_iov;
+      rest.iov_base = static_cast<std::uint8_t*>(rest.iov_base) + sent;
+      rest.iov_len -= sent;
+    }
   }
   return true;
 }
@@ -381,8 +411,7 @@ void TcpTransport::writer_loop(PeerLink& link) {
       put_u32(header, static_cast<std::uint32_t>(8 + frame.payload.size()));
       put_u32(header + 4, frame.from);
       put_u32(header + 8, frame.to);
-      if (write_all(fd, header, sizeof(header)) &&
-          write_all(fd, frame.payload.view().data(), frame.payload.size())) {
+      if (write_frame(fd, header, sizeof(header), frame.payload.view())) {
         frames_out_.fetch_add(1, std::memory_order_relaxed);
         if (m_.frames_out != nullptr) m_.frames_out->add();
         if (m_.bytes_out != nullptr) {
@@ -440,7 +469,7 @@ void TcpTransport::reader_loop(int fd) {
     note_frame_error();
     return;
   }
-  const std::string peer_address = peer->address();
+  const std::vector<ProcessId> peer_ids = topology_.ids_at(peer->address());
 
   while (running_.load()) {
     std::uint8_t header[kFrameHeaderSize];
@@ -463,8 +492,7 @@ void TcpTransport::reader_loop(int fd) {
       note_frame_error();  // truncated mid-payload
       return;
     }
-    const TopologyEntry* sender = topology_.find(from);
-    if (sender == nullptr || sender->address() != peer_address) {
+    if (std::find(peer_ids.begin(), peer_ids.end(), from) == peer_ids.end()) {
       note_frame_error();  // spoofed sender id
       return;
     }

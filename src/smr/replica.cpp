@@ -58,6 +58,10 @@ Replica::Replica(ProcessId self, ClusterConfig config, ReplicaParams params,
         &reg.gauge("smr.pending_requests", "request-pool depth");
     m_.batch_size =
         &reg.histogram("smr.batch_size", "requests", "requests per proposal");
+    m_.proposal_holds = &reg.counter(
+        "smr.proposal_holds", "short proposals the leader held back");
+    m_.proposal_hold = &reg.histogram("smr.proposal_hold_ns", "ns",
+                                      "hold start to the held proposal");
     m_.propose_to_write = &reg.histogram("smr.propose_to_write_quorum_ns", "ns",
                                          "PROPOSE seen to WRITE quorum");
     m_.write_to_decide = &reg.histogram("smr.write_quorum_to_decide_ns", "ns",
@@ -99,6 +103,8 @@ void Replica::on_recover() {
   // for the regency-change machinery to resolve.
   request_timer_ = 0;
   forwarded_phase_ = false;
+  hold_timer_ = 0;
+  reset_pacing();
   app_timers_.clear();
   pool_.clear_inflight();  // batches in flight at the crash may be lost
   transfer_.on_recover();
@@ -271,6 +277,11 @@ void Replica::on_timer(std::uint64_t timer_id) {
     app_->on_app_timer(timer_id);
     return;
   }
+  if (timer_id == hold_timer_) {
+    hold_timer_ = 0;  // the hold has lasted one round: propose what we have
+    maybe_propose();
+    return;
+  }
   if (timer_id == request_timer_) {
     request_timer_ = 0;
     if (pool_.empty() || !is_active_member()) return;
@@ -346,9 +357,11 @@ void Replica::maybe_propose() {
   const ConsensusId next = order_frontier_ + 1;
   InstanceDriver& d = driver(next);
   if (d.proposed_by_me || d.instance.decided()) return;
+  const std::size_t ready = pool_.proposable();
+  if (ready == 0 || hold_proposal(ready)) return;
 
   const Batch batch{pool_.take_batch(params_.batch_max)};
-  if (batch.requests.empty()) return;
+  end_hold();
   d.proposed_by_me = true;
   if (m_.batches_proposed != nullptr) m_.batches_proposed->add();
   if (m_.batch_size != nullptr) {
@@ -360,6 +373,37 @@ void Replica::maybe_propose() {
          static_cast<runtime::Duration>(value.size()) * kPerValueByteCost);
   broadcast(encode(Propose{next, regency_, value}));
   accept_proposal(next, regency_, self_, std::move(value));
+}
+
+bool Replica::hold_proposal(std::size_t ready) {
+  if (last_round_ == 0 || ready >= app_->requests_to_next_output()) return false;
+  if (hold_since_ < 0) {
+    hold_since_ = env().now();
+    // Half the request timeout at most, so a held request never makes a
+    // follower suspect the leader.
+    hold_timer_ = env().set_timer(
+        std::min(last_round_, params_.forward_timeout / 2));
+    if (m_.proposal_holds != nullptr) m_.proposal_holds->add();
+  }
+  return hold_timer_ != 0;
+}
+
+void Replica::end_hold() {
+  if (hold_since_ < 0) return;
+  if (m_.proposal_hold != nullptr) {
+    m_.proposal_hold->record(env().now() - hold_since_);
+  }
+  if (hold_timer_ != 0) env().cancel_timer(hold_timer_);
+  hold_timer_ = 0;
+  hold_since_ = -1;
+}
+
+void Replica::reset_pacing() {
+  if (hold_timer_ != 0) env().cancel_timer(hold_timer_);
+  hold_timer_ = 0;
+  hold_since_ = -1;
+  last_round_ = 0;
+  pacing_since_ = env().now();
 }
 
 // --------------------------------------------------------------------------
@@ -512,6 +556,9 @@ void Replica::on_decided(ConsensusId cid) {
   if (m_.write_to_decide != nullptr && d.write_quorum_at >= 0) {
     m_.write_to_decide->record(decided_at - d.write_quorum_at);
   }
+  if (d.proposed_by_me && d.proposed_at >= pacing_since_) {
+    last_round_ = decided_at - d.proposed_at;
+  }
   const ValueHash& hash = d.instance.decided_hash();
   const Bytes* value = d.instance.value_for(hash);
   if (value != nullptr) {
@@ -525,13 +572,17 @@ void Replica::on_decided(ConsensusId cid) {
   if (!params_.tentative_execution && order_frontier_ < cid) {
     order_frontier_ = cid;
   }
-  // Propose the next batch before applying this decision: the decided
-  // requests are still flagged inflight (so they cannot be re-proposed) and
-  // execution is a local upcall, so the next consensus round's network
-  // round-trip overlaps with execute_batch instead of waiting behind it —
-  // BFT-SMaRt's split between the message-processing and delivery threads.
-  maybe_propose();
+  // Propose the next batch before applying this decision when the pool
+  // already completes the application's next output: the decided requests
+  // are still flagged inflight (so they cannot be re-proposed) and execution
+  // is a local upcall, so the next consensus round's network round-trip
+  // overlaps with execute_batch instead of waiting behind it — BFT-SMaRt's
+  // split between the message-processing and delivery threads. A shorter
+  // batch waits for try_apply, after which the application's hint counts
+  // this decision.
+  if (pool_.proposable() >= app_->requests_to_next_output()) maybe_propose();
   try_apply();
+  maybe_propose();
 }
 
 void Replica::broadcast(Payload payload) {
@@ -900,6 +951,7 @@ void Replica::install_regency(Epoch next) {
   }
   pool_.clear_inflight();
   disarm_request_timer();
+  reset_pacing();
 }
 
 const consensus::Instance* Replica::instance(ConsensusId cid) const {
@@ -934,6 +986,7 @@ void Replica::adopt_state(StateReply state) {
   snapshot_cid_ = state.snapshot_cid;
   checkpoint_snapshot_ = std::move(state.snapshot);
   rollback_snapshot_.reset();
+  reset_pacing();
   tentative_hashes_.clear();
   pending_tentative_.clear();
   decided_awaiting_value_.clear();

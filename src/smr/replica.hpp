@@ -105,6 +105,8 @@ class Replica : public runtime::Actor {
   void accept_proposal(ConsensusId cid, consensus::Epoch epoch,
                        runtime::ProcessId from, Bytes value);
   void request_value(ConsensusId cid, const ValueHash& hash);
+  /// Leader: proposes the next batch unless a slot of ours is in flight or
+  /// the proposal is held (see hold_proposal).
   void maybe_propose();
   /// Fans `payload` out to every other member, sharing one underlying buffer
   /// across all sends (no per-destination deep copy).
@@ -177,6 +179,18 @@ class Replica : public runtime::Actor {
   void persist_checkpoint();
   /// Restart-from-disk: newest verifiable checkpoint + contiguous WAL suffix.
   void recover_from_storage();
+
+  // -- proposal pacing (leader) --
+  /// True while a proposal of `ready` requests waits for the requests that
+  /// complete the application's next output. The first short proposal arms
+  /// the hold timer; the hold ends when enough requests arrive or after the
+  /// leader's last measured round, and never before one was measured.
+  bool hold_proposal(std::size_t ready);
+  /// Records and disarms the current hold, if any (a batch was proposed).
+  void end_hold();
+  /// Forgets the measured round and any hold (leader change, crash, state
+  /// transfer): a new leader never holds before it measured a round.
+  void reset_pacing();
 
   // -- timers / misc --
   void arm_request_timer();
@@ -257,6 +271,12 @@ class Replica : public runtime::Actor {
   std::uint64_t request_timer_ = 0;
   bool forwarded_phase_ = false;
 
+  // Proposal pacing (leader only).
+  runtime::Duration last_round_ = 0;     // propose→decide of our last slot; 0 = none
+  runtime::TimePoint pacing_since_ = 0;  // slots proposed earlier are not measured
+  runtime::TimePoint hold_since_ = -1;   // -1 = no proposal held
+  std::uint64_t hold_timer_ = 0;
+
   // Custom-replier audience.
   std::set<runtime::ProcessId> receivers_;
 
@@ -273,8 +293,10 @@ class Replica : public runtime::Actor {
     obs::Counter* requests_executed = nullptr;
     obs::Counter* pushes_sent = nullptr;
     obs::Counter* regency_changes = nullptr;
+    obs::Counter* proposal_holds = nullptr;
     obs::Gauge* pending_requests = nullptr;
     obs::LatencyHistogram* batch_size = nullptr;
+    obs::LatencyHistogram* proposal_hold = nullptr;
     obs::LatencyHistogram* propose_to_write = nullptr;
     obs::LatencyHistogram* write_to_decide = nullptr;
     obs::LatencyHistogram* propose_to_decide = nullptr;

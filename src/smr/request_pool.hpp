@@ -30,6 +30,7 @@ class RequestPool {
     for (auto it = arrivals_.begin(); it != arrivals_.end();) {
       if (pred(it->request)) {
         index_.erase({it->request.client, it->request.seq});
+        if (!it->inflight) --proposable_;
         it = arrivals_.erase(it);
       } else {
         ++it;
@@ -51,6 +52,8 @@ class RequestPool {
 
   std::size_t size() const { return arrivals_.size(); }
   bool empty() const { return arrivals_.empty(); }
+  /// Requests not in flight: what the next take_batch can return (O(1)).
+  std::size_t proposable() const { return proposable_; }
 
  private:
   struct Entry {
@@ -61,6 +64,7 @@ class RequestPool {
 
   std::list<Entry> arrivals_;  // arrival order; owns the entries
   std::map<Key, std::list<Entry>::iterator> index_;
+  std::size_t proposable_ = 0;  // entries with inflight == false
 };
 
 }  // namespace bft::smr

@@ -50,6 +50,13 @@ class StateMachine {
     return crypto::sha256(snapshot());
   }
 
+  /// Number of further requests that complete the application's next unit
+  /// of output (for the ordering service: the next block). The leader
+  /// proposes at once when its proposable requests reach this count and
+  /// otherwise holds the proposal for at most one measured round. The
+  /// default, 1, never holds.
+  virtual std::size_t requests_to_next_output() const { return 1; }
+
   /// Fired for timers the application armed via Replica::set_app_timer.
   /// Local (non-replicated) machinery only — batch timeouts and the like.
   virtual void on_app_timer(std::uint64_t token) { (void)token; }

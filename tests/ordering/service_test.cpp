@@ -243,6 +243,105 @@ TEST(OrderingServiceTest, DoubleSignModeStillDelivers) {
   EXPECT_EQ(s.ledgers[0]->height(), 1u);
 }
 
+// Proposal pacing: the leader holds a short proposal until its requests
+// complete the next block or one measured round has passed. Node 0 leads
+// regency 0 and carries the metrics.
+struct PacedService {
+  explicit PacedService(std::size_t block_size) : s(options(block_size, &metrics)) {}
+
+  static ServiceOptions options(std::size_t block_size,
+                                obs::MetricsRegistry* metrics) {
+    ServiceOptions o = basic_options(4, block_size);
+    o.metrics = metrics;
+    return o;
+  }
+  std::uint64_t holds() { return metrics.counter("smr.proposal_holds").value(); }
+  obs::LatencyHistogram& hold_ns() {
+    return metrics.histogram("smr.proposal_hold_ns", "ns");
+  }
+  obs::LatencyHistogram& round_ns() {
+    return metrics.histogram("smr.propose_to_decide_ns", "ns");
+  }
+  std::uint64_t ordered(std::size_t node) {
+    return s.service.nodes.at(node).app->envelopes_ordered();
+  }
+
+  obs::MetricsRegistry metrics;
+  SimService s;
+};
+
+TEST(OrderingServiceTest, BlockCompletingRequestIsProposedWithoutHold) {
+  PacedService p(10);
+  // Nine lone envelopes: the first is proposed at once (no round measured
+  // yet), the other eight are each held.
+  for (int i = 0; i < 9; ++i) {
+    p.s.submit_at(kMillisecond + i * 20 * kMillisecond, 0, envelope(i));
+  }
+  p.s.cluster.run_until(300 * kMillisecond);
+  ASSERT_EQ(p.s.service.nodes[0].app->pending_in("channel-0"), 9u);
+  EXPECT_EQ(p.holds(), 8u);
+  EXPECT_EQ(p.hold_ns().count(), 8u);  // every hold ended in a proposal
+
+  // The tenth envelope completes the block: proposed with no hold.
+  p.s.submit_at(300 * kMillisecond, 0, envelope(9));
+  p.s.cluster.run_until(305 * kMillisecond);
+  EXPECT_EQ(p.holds(), 8u);
+  EXPECT_EQ(p.ordered(0), 10u);
+  p.s.cluster.run_until(kSecond);
+  EXPECT_EQ(p.s.ledgers[0]->height(), 1u);
+  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 10u);
+}
+
+TEST(OrderingServiceTest, LoneRequestIsProposedWithinOneMeasuredRound) {
+  PacedService p(10);
+  p.s.submit_at(kMillisecond, 0, envelope(0));
+  p.s.cluster.run_until(100 * kMillisecond);
+  ASSERT_EQ(p.ordered(0), 1u);
+  ASSERT_EQ(p.round_ns().count(), 1u);
+  const std::int64_t round = p.round_ns().max();
+  EXPECT_EQ(p.holds(), 0u);  // no round measured before the first proposal
+
+  // A lone envelope far from completing a block waits one round at most.
+  p.s.submit_at(100 * kMillisecond, 0, envelope(1));
+  p.s.cluster.run_until(100 * kMillisecond + 3 * round + kMillisecond);
+  EXPECT_EQ(p.holds(), 1u);
+  ASSERT_EQ(p.hold_ns().count(), 1u);
+  EXPECT_LE(p.hold_ns().max(), round);
+  EXPECT_EQ(p.ordered(0), 2u);
+  EXPECT_LT(3 * round + kMillisecond, 250 * kMillisecond);
+}
+
+TEST(OrderingServiceTest, LeaderCrashDuringHoldDeliversEveryEnvelope) {
+  PacedService p(10);
+  p.s.submit_at(kMillisecond, 0, envelope(0));
+  p.s.submit_at(50 * kMillisecond, 0, envelope(1));
+  // Crash the leader while it holds envelope 1.
+  bool crashed_in_hold = false;
+  for (sim::SimTime t = 50 * kMillisecond; t < 52 * kMillisecond;
+       t += kMillisecond / 100) {
+    p.s.cluster.schedule_at(t, [&p, &crashed_in_hold] {
+      if (crashed_in_hold || p.holds() != 1) return;
+      crashed_in_hold = p.hold_ns().count() == 0;
+      p.s.cluster.crash(0);
+    });
+  }
+  p.s.cluster.run_until(100 * kMillisecond);
+  ASSERT_TRUE(crashed_in_hold);
+  EXPECT_EQ(p.ordered(1), 1u);  // envelope 1 was never proposed
+
+  // Followers forward, then elect node 1; the new leader orders envelope 1
+  // and the rest of the block.
+  for (int i = 2; i < 10; ++i) {
+    p.s.submit_at(3 * kSecond + i * kMillisecond, 0, envelope(i));
+  }
+  p.s.cluster.run_until(8 * kSecond);
+  EXPECT_GE(p.s.service.nodes[1].replica->regency(), 1u);
+  ASSERT_EQ(p.s.ledgers[0]->height(), 1u);
+  EXPECT_TRUE(p.s.ledgers[0]->verify().is_ok());
+  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 10u);
+  for (std::size_t node = 1; node < 4; ++node) EXPECT_EQ(p.ordered(node), 10u);
+}
+
 TEST(OrderingServiceTest, RealRuntimeEndToEnd) {
   ServiceOptions options = basic_options(4, 5);
   Service service = make_service(options);

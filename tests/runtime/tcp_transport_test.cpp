@@ -153,6 +153,30 @@ TEST(TcpTransportTest, ManyFramesArriveInOrder) {
   b.stop();
 }
 
+TEST(TcpTransportTest, LargeAndEmptyFramesKeepTheirBoundaries) {
+  const Topology topo = pair_topology(free_port(), free_port());
+  TcpTransport a(topo, {0});
+  TcpTransport b(topo, {1});
+  Sink sink_a, sink_b;
+  a.start(sink_a.fn());
+  b.start(sink_b.fn());
+  // Header and payload leave in one sendmsg; a payload larger than the
+  // socket buffer and an empty one must both keep the framing intact.
+  const std::vector<std::size_t> sizes = {0, 1, 3u << 20, 0, 5};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    Bytes payload(sizes[i], static_cast<std::uint8_t>(0x30 + i));
+    EXPECT_TRUE(a.send(0, 1, Payload(std::move(payload))));
+  }
+  ASSERT_TRUE(sink_b.wait_for(sizes.size()));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Bytes expected(sizes[i], static_cast<std::uint8_t>(0x30 + i));
+    EXPECT_EQ(sink_b.at(i).payload, expected) << "frame " << i;
+  }
+  EXPECT_EQ(b.frame_errors(), 0u);
+  a.stop();
+  b.stop();
+}
+
 TEST(TcpTransportTest, ShortReadsReassembleFrames) {
   const std::uint16_t port_b = free_port();
   const Topology topo = pair_topology(free_port(), port_b);

@@ -73,6 +73,23 @@ TEST(ReplicaTest, BatchLimitRespected) {
   EXPECT_GE(h.replicas[0]->decided_batch_count(), 4u);
 }
 
+TEST(ReplicaTest, DefaultOutputHintNeverHoldsAProposal) {
+  obs::MetricsRegistry metrics;
+  ReplicaParams p = fast_params();
+  p.metrics = &metrics;
+  SimHarness h(4, 2, p);
+  // Lone requests spaced wider than a round: a state machine with the
+  // default hint (1) gets each proposed at once.
+  for (int i = 0; i < 20; ++i) {
+    h.invoke_at(kMillisecond + i * 10 * kMillisecond, i % 2, delta_payload(1));
+  }
+  h.cluster.run_until(2 * kSecond);
+  EXPECT_EQ(h.machines[0]->value(), 20u);
+  EXPECT_GE(metrics.counter("smr.batches_proposed").value(), 20u);
+  EXPECT_EQ(metrics.counter("smr.proposal_holds").value(), 0u);
+  EXPECT_EQ(metrics.histogram("smr.proposal_hold_ns", "ns").count(), 0u);
+}
+
 TEST(ReplicaTest, SevenAndTenReplicaClusters) {
   for (std::uint32_t n : {7u, 10u}) {
     SimHarness h(n, 2, fast_params());

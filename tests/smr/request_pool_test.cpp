@@ -95,5 +95,36 @@ TEST(RequestPoolTest, EraseIfDropsMatchingEntriesOnly) {
   EXPECT_EQ(keys(pool.take_batch(10)), (Keys{{1, 1}, {1, 3}, {1, 5}}));
 }
 
+TEST(RequestPoolTest, ProposableCountsRequestsNotInFlight) {
+  RequestPool pool;
+  EXPECT_EQ(pool.proposable(), 0u);
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) pool.add(make_request(1, seq));
+  EXPECT_FALSE(pool.add(make_request(1, 3)));  // duplicate: no change
+  EXPECT_EQ(pool.proposable(), 5u);
+
+  ASSERT_EQ(pool.take_batch(2).size(), 2u);  // seqs 1, 2 in flight
+  EXPECT_EQ(pool.proposable(), 3u);
+  pool.erase(1, 1);  // in flight: the count stays
+  EXPECT_EQ(pool.proposable(), 3u);
+  pool.erase(1, 4);  // not in flight
+  EXPECT_EQ(pool.proposable(), 2u);
+  pool.erase(1, 9);  // not pooled
+  EXPECT_EQ(pool.proposable(), 2u);
+
+  pool.add(make_request(2, 1));
+  EXPECT_EQ(pool.proposable(), 3u);
+  // Drops seq 2 (in flight) and seq 3 (not in flight).
+  pool.erase_if([](const Request& r) { return r.client == 1 && r.seq <= 3; });
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.proposable(), 2u);
+
+  ASSERT_EQ(pool.take_batch(10).size(), 2u);
+  EXPECT_EQ(pool.proposable(), 0u);
+  EXPECT_TRUE(pool.take_batch(10).empty());
+  pool.clear_inflight();
+  EXPECT_EQ(pool.proposable(), pool.size());
+  EXPECT_EQ(pool.take_batch(10).size(), pool.size());
+}
+
 }  // namespace
 }  // namespace bft::smr
