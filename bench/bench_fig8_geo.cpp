@@ -7,7 +7,7 @@
 // envelope size.
 //
 // This binary prints Figure 8 (blocks of 10 envelopes) by default; pass
-// --block 100 for Figure 9 (bench_fig9_geo does exactly that).
+// --block 100 for Figure 9.
 #include <cstdio>
 
 #include "common/cli.hpp"

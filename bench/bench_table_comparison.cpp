@@ -22,10 +22,10 @@ double run_cft_throughput(std::uint32_t nodes, std::size_t envelope_size,
   ordering::CrashOrderingOptions options;
   for (std::uint32_t i = 0; i < nodes; ++i) options.nodes.push_back(i);
   options.block_size = 10;
-  options.stub_signatures = true;
   std::vector<std::unique_ptr<ordering::CrashOrderingNode>> cft;
   for (std::uint32_t i = 0; i < nodes; ++i) {
-    cft.push_back(std::make_unique<ordering::CrashOrderingNode>(i, options));
+    cft.push_back(std::make_unique<ordering::CrashOrderingNode>(
+        i, options, std::make_shared<ordering::StubBlockSigner>(i)));
     cluster.add_process(i, cft.back().get(), sim::CpuConfig{});
   }
   ordering::FrontendOptions fo;

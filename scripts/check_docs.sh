@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Docs lint (wired into ctest as `docs_lint`): every observability name the
-# code exports must be documented in OBSERVABILITY.md.
+# code exports must be documented in OBSERVABILITY.md, and every binary the
+# docs name must exist.
 #
 # Checked surfaces:
 #   * metric names registered in src/ or bench/ — matched by their namespaced
@@ -9,6 +10,12 @@
 #     survives line-wrapped registry calls. Test-only fake names (tests/) are
 #     deliberately out of scope.
 #   * the eight trace stage names from obs::trace_stage_name.
+#   * every bench binary (`bench_x`, also the brace form `bench_{a,b}`) and
+#     every example binary (`build/examples/x`) that README.md, DESIGN.md,
+#     EXPERIMENTS.md or OBSERVABILITY.md names must be built by
+#     bench/CMakeLists.txt or examples/CMakeLists.txt. Names with a file
+#     extension (`bench_micro_crypto.py`, `bench_output.txt`) are files, not
+#     binaries.
 #
 # Exits nonzero listing every undocumented name.
 set -u
@@ -45,7 +52,38 @@ for stage in submit propose write_quorum accept blockcut sign push frontend_acce
   fi
 done
 
+docs="$repo/README.md $repo/DESIGN.md $repo/EXPERIMENTS.md $repo/OBSERVABILITY.md"
+built="$(grep -hoE '(bft_add_bench|bft_add_example|add_executable)\([a-z0-9_]+' \
+  "$repo/bench/CMakeLists.txt" "$repo/examples/CMakeLists.txt" | sed 's/.*(//' | sort -u)"
+# shellcheck disable=SC2086  # $docs is a list of paths without spaces
+binaries="$( {
+  grep -hoE '\bbench_[a-z0-9_]*(\{[a-z0-9_,]+\}|[a-z0-9_])(\.[a-z]+)?' $docs |
+    grep -vE '\.[a-z]+$' |
+    while read -r ref; do
+      case "$ref" in
+        *'{'*)
+          prefix="${ref%%\{*}"
+          alternatives="${ref#*\{}"
+          for alt in $(echo "${alternatives%\}}" | tr ',' ' '); do
+            echo "$prefix$alt"
+          done ;;
+        *) echo "$ref" ;;
+      esac
+    done
+  grep -hoE 'build/examples/[a-z0-9_]+(\.[a-z]+)?' $docs |
+    grep -vE '\.[a-z]+$' | sed 's|.*/||'
+} | sort -u)"
+binaries_checked=0
+for binary in $binaries; do
+  binaries_checked=$((binaries_checked + 1))
+  if ! echo "$built" | grep -qxF "$binary"; then
+    echo "docs_lint: the docs name '$binary', which bench/ and examples/ do not build"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs_lint: $checked metric names + 8 trace stages documented"
+  echo "docs_lint: $checked metric names + 8 trace stages documented;" \
+    "$binaries_checked named binaries are built"
 fi
 exit "$fail"

@@ -89,9 +89,13 @@ std::string Reader::str() {
 }
 
 Bytes Reader::raw(std::size_t n) {
+  const ByteView v = view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView Reader::view(std::size_t n) {
   need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

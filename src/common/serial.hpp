@@ -67,6 +67,8 @@ class Reader {
   std::string str();
   /// Reads exactly `n` raw bytes (fixed-size fields).
   Bytes raw(std::size_t n);
+  /// Reads exactly `n` raw bytes as a view into the input (no copy).
+  ByteView view(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   /// Clamp an attacker-controlled element count for container reserve():

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bft::obs {
@@ -58,7 +59,9 @@ std::int64_t LatencyHistogram::quantile(double q) const {
   for (std::size_t i = 0; i < kBucketCount; ++i) {
     cumulative += buckets_[i].load(std::memory_order_relaxed);
     if (cumulative >= rank) {
-      return bucket_lower(i) + bucket_width(i) / 2;
+      // A midpoint can lie above every recorded sample; never report more
+      // than the largest one.
+      return std::min(bucket_lower(i) + bucket_width(i) / 2, max());
     }
   }
   // Counts moved concurrently with the walk; fall back to the max estimate.

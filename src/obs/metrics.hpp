@@ -83,8 +83,9 @@ class LatencyHistogram {
   double mean() const;
 
   /// Nearest-rank quantile (q in [0,1]) over the bucketed samples; returns the
-  /// midpoint of the bucket holding the ranked sample (exact for values below
-  /// 2^kSubBits, <= 1/16 relative error above). Returns 0 when empty.
+  /// midpoint of the bucket holding the ranked sample, clamped to max() (exact
+  /// for values below 2^kSubBits, <= 1/16 relative error above). Returns 0
+  /// when empty.
   std::int64_t quantile(double q) const;
 
   /// Maps a value to its bucket index (negative values clamp to bucket 0,

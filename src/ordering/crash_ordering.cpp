@@ -37,18 +37,18 @@ Bytes encode_commit(std::uint64_t upto) {
 }  // namespace
 
 CrashOrderingNode::CrashOrderingNode(runtime::ProcessId self,
-                                     CrashOrderingOptions options)
+                                     CrashOrderingOptions options,
+                                     std::shared_ptr<BlockSigner> signer)
     : self_(self),
       options_(std::move(options)),
+      signer_(std::move(signer)),
       cutter_(options_.block_size),
       previous_header_hash_(ledger::genesis_hash(options_.channel)) {
   if (options_.nodes.empty()) {
     throw std::invalid_argument("CrashOrderingNode: empty node list");
   }
-  if (options_.stub_signatures) {
-    signer_ = std::make_shared<StubBlockSigner>(self, options_.signature_cost);
-  } else {
-    signer_ = std::make_shared<EcdsaBlockSigner>(self, options_.signature_cost);
+  if (signer_ == nullptr) {
+    throw std::invalid_argument("CrashOrderingNode: null signer");
   }
 }
 

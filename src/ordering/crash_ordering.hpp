@@ -24,13 +24,12 @@ struct CrashOrderingOptions {
   std::vector<runtime::ProcessId> nodes;  // nodes[0] is the primary
   std::string channel = "channel-0";
   std::size_t block_size = 10;
-  bool stub_signatures = false;
-  runtime::Duration signature_cost = runtime::usec(1905);
 };
 
 class CrashOrderingNode : public runtime::Actor {
  public:
-  CrashOrderingNode(runtime::ProcessId self, CrashOrderingOptions options);
+  CrashOrderingNode(runtime::ProcessId self, CrashOrderingOptions options,
+                    std::shared_ptr<BlockSigner> signer);
 
   void on_start(runtime::Env& env) override;
   void on_message(runtime::ProcessId from, ByteView payload) override;
@@ -39,7 +38,6 @@ class CrashOrderingNode : public runtime::Actor {
   bool is_primary() const;
   std::uint64_t committed() const { return committed_; }
   std::uint64_t blocks_created() const { return next_block_number_ - 1; }
-  const std::shared_ptr<BlockSigner>& signer() const { return signer_; }
 
  private:
   void handle_request(ByteView payload);

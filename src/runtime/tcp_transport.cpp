@@ -84,24 +84,10 @@ std::size_t read_exact(int fd, std::uint8_t* buf, std::size_t n) {
   return got;
 }
 
-/// Writes all of `n` bytes, riding out short writes and EINTR.
-bool write_all(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<std::size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 /// Writes a frame's header and payload with one sendmsg, so under
 /// TCP_NODELAY the frame leaves as one segment and wakes the reader once;
-/// rides out short writes and EINTR.
+/// rides out short writes and EINTR. The handshake is a header with an empty
+/// payload.
 bool write_frame(int fd, std::uint8_t* header, std::size_t header_size,
                  ByteView payload) {
   iovec iov[2] = {{header, header_size},
@@ -380,7 +366,7 @@ int TcpTransport::dial(PeerLink& link) {
     std::memcpy(handshake, kMagic, sizeof(kMagic));
     put_u16(handshake + 4, kVersion);
     put_u32(handshake + 6, handshake_id_);
-    if (!write_all(fd, handshake, sizeof(handshake))) {
+    if (!write_frame(fd, handshake, sizeof(handshake), {})) {
       ::close(fd);
       continue;
     }

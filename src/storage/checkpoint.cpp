@@ -1,17 +1,10 @@
 #include "storage/checkpoint.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "storage/crc32.hpp"
+#include "storage/io.hpp"
 
 namespace bft::storage {
 
@@ -19,35 +12,22 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'F', 'T', 'C', 'K', 'P', 'T', '1'};
-constexpr std::size_t kHeaderSize = sizeof(kMagic) + 8;  // + len + crc
+constexpr std::uint8_t kMagicBytes[8] = {'B', 'F', 'T', 'C',
+                                         'K', 'P', 'T', '1'};
+constexpr ByteView kMagic(kMagicBytes);
 
 std::optional<Checkpoint> read_slot(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  Bytes contents;
-  std::uint8_t buf[64 * 1024];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    contents.insert(contents.end(), buf, buf + n);
-  }
-  std::fclose(file);
-
-  if (contents.size() < kHeaderSize) return std::nullopt;  // empty or partial
-  if (std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
-    return std::nullopt;
-  }
-  Reader header(ByteView(contents.data() + sizeof(kMagic), 8));
-  const std::uint32_t payload_len = header.u32();
-  const std::uint32_t crc = header.u32();
-  if (contents.size() != kHeaderSize + payload_len) {
-    return std::nullopt;  // truncated (torn write) or trailing garbage
-  }
-  const ByteView payload(contents.data() + kHeaderSize, payload_len);
-  if (crc32_ieee(payload) != crc) return std::nullopt;
+  const std::optional<Bytes> contents = read_file(path);
+  if (!contents) return std::nullopt;
+  const ByteView file = *contents;
+  if (!has_magic(file, kMagic)) return std::nullopt;
+  Reader in(file.subspan(kMagic.size()));
+  const std::optional<ByteView> payload = read_frame(in);
+  // Exactly one frame: a short file is a torn write, extra bytes are garbage.
+  if (!payload || !in.done()) return std::nullopt;
 
   try {
-    Reader r(payload);
+    Reader r(*payload);
     Checkpoint cp;
     cp.cid = r.u64();
     cp.integrity = crypto::hash_from_bytes(r.raw(32));
@@ -91,70 +71,34 @@ std::vector<Checkpoint> CheckpointStore::load() const {
   return out;
 }
 
-std::uint64_t CheckpointStore::retain_floor() const {
-  const std::vector<Checkpoint> slots = load();
-  if (slots.empty()) return 0;
-  return slots.back().cid;
-}
-
-Status CheckpointStore::write(const Checkpoint& cp) {
-  // Pick the victim slot: the one with the older checkpoint (invalid = oldest).
-  int victim = 0;
-  std::uint64_t victim_cid = UINT64_MAX;
+Result<std::uint64_t> CheckpointStore::write(const Checkpoint& cp) {
+  // Pick the victim slot: the one with the older checkpoint (invalid =
+  // oldest). The other slot survives and bounds the retain floor.
+  std::optional<std::uint64_t> slot_cids[2];
   for (int slot = 0; slot < 2; ++slot) {
     const auto existing = read_slot(slot_path(slot));
-    const std::uint64_t cid = existing.has_value() ? existing->cid : 0;
-    if (cid < victim_cid) {
-      victim_cid = cid;
-      victim = slot;
-    }
+    if (existing.has_value()) slot_cids[slot] = existing->cid;
   }
+  const int victim =
+      slot_cids[1].value_or(0) < slot_cids[0].value_or(0) ? 1 : 0;
+  const std::optional<std::uint64_t> survivor = slot_cids[1 - victim];
 
   Writer payload;
   payload.u64(cp.cid);
   payload.raw(ByteView(cp.integrity.data(), cp.integrity.size()));
   payload.bytes(cp.snapshot);
 
-  Writer file;
-  file.raw(ByteView(reinterpret_cast<const std::uint8_t*>(kMagic),
-                    sizeof(kMagic)));
-  file.u32(static_cast<std::uint32_t>(payload.size()));
-  file.u32(crc32_ieee(ByteView(payload.data().data(), payload.size())));
-  file.raw(ByteView(payload.data().data(), payload.size()));
+  Writer file(kMagic.size() + kFrameHeaderBytes + payload.size());
+  file.raw(kMagic);
+  append_frame(file, {payload.data()});
 
-  const std::string target = slot_path(victim);
-  const std::string tmp = target + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::failure("checkpoint: cannot create " + tmp + ": " +
-                           std::strerror(errno));
+  // The WAL is pruned behind this checkpoint, so it must be durable first.
+  const Status written = replace_file(slot_path(victim), file.data());
+  if (!written.is_ok()) {
+    return Result<std::uint64_t>::failure("checkpoint: " + written.error());
   }
-  const Bytes& bytes = file.data();
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::failure(std::string("checkpoint: write failed: ") +
-                             std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-  if (::rename(tmp.c_str(), target.c_str()) != 0) {
-    return Status::failure("checkpoint: rename to " + target + " failed: " +
-                           std::strerror(errno));
-  }
-  const int dir_fd = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  last_written_bytes_ = bytes.size();
-  return Status::ok();
+  last_written_bytes_ = file.size();
+  return survivor.has_value() ? std::min(*survivor, cp.cid) : cp.cid;
 }
 
 }  // namespace bft::storage

@@ -6,7 +6,7 @@
 // crash at any point leaves at least one intact checkpoint; a torn write
 // corrupts only the slot being replaced, which load() rejects by CRC.
 //
-// File format:
+// File format (the frame is storage/io.hpp's, shared with the WAL):
 //   magic "BFTCKPT1" | u32 payload_len | u32 crc32(payload) | payload
 //   payload = u64 cid | 32-byte integrity digest | u32-len snapshot bytes
 //
@@ -42,14 +42,13 @@ class CheckpointStore {
   std::vector<Checkpoint> load() const;
 
   /// Atomically persists `cp` into the slot holding the older checkpoint.
-  Status write(const Checkpoint& cp);
+  /// Returns the retain floor: the lowest cid across the valid slots after
+  /// the write. WAL segments entirely below it are no longer needed for
+  /// recovery.
+  Result<std::uint64_t> write(const Checkpoint& cp);
 
   /// Size of the last file written by this process (0 before any write).
   std::uint64_t last_written_bytes() const { return last_written_bytes_; }
-
-  /// Lowest cid across valid slots (0 when empty): WAL segments entirely
-  /// below this are no longer needed for recovery.
-  std::uint64_t retain_floor() const;
 
  private:
   explicit CheckpointStore(std::string directory);

@@ -1,29 +1,12 @@
 #include "storage/store.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 
-#include "common/log.hpp"
+#include "storage/io.hpp"
 
 namespace bft::storage {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/// Reads the NODE stamp; empty string when absent.
-std::string read_stamp(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return "";
-  char buf[128] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, file);
-  std::fclose(file);
-  return std::string(buf, n);
-}
-
-}  // namespace
 
 NodeStore::NodeStore(StoreOptions options) : options_(std::move(options)) {}
 
@@ -41,15 +24,11 @@ Result<std::unique_ptr<NodeStore>> NodeStore::open(StoreOptions options) {
   // --data-dir must fail loudly, not replay a different replica's chain.
   const std::string stamp_path = options.directory + "/NODE";
   const std::string want = "node " + std::to_string(options.node_id) + "\n";
-  const std::string have = read_stamp(stamp_path);
+  const std::optional<Bytes> stamp = read_file(stamp_path);
+  const std::string have = stamp ? to_string(*stamp) : "";
   if (have.empty()) {
-    std::FILE* file = std::fopen(stamp_path.c_str(), "wb");
-    if (file == nullptr) {
-      return R::failure("storage: cannot write " + stamp_path + ": " +
-                        std::strerror(errno));
-    }
-    std::fwrite(want.data(), 1, want.size(), file);
-    std::fclose(file);
+    const Status written = replace_file(stamp_path, to_bytes(want));
+    if (!written.is_ok()) return R::failure("storage: " + written.error());
   } else if (have != want) {
     return R::failure("storage: data dir " + options.directory +
                       " is stamped \"" +
@@ -65,7 +44,6 @@ Result<std::unique_ptr<NodeStore>> NodeStore::open(StoreOptions options) {
   wal_options.directory = options.directory + "/wal";
   wal_options.segment_bytes = options.wal_segment_bytes;
   wal_options.fsync = options.fsync;
-  wal_options.group_interval_ns = options.group_interval_ns;
   if (options.metrics != nullptr) {
     auto& m = *options.metrics;
     wal_options.instruments.appends =
@@ -97,14 +75,13 @@ Status NodeStore::append_decision(std::uint64_t cid, ByteView value) {
 }
 
 Status NodeStore::write_checkpoint(const Checkpoint& cp) {
-  Status status = checkpoints_->write(cp);
-  if (!status.is_ok()) return status;
+  const Result<std::uint64_t> floor = checkpoints_->write(cp);
+  if (!floor.ok()) return Status::failure(floor.error());
   if (checkpoint_bytes_ != nullptr) {
     checkpoint_bytes_->add(checkpoints_->last_written_bytes());
   }
   // Everything below the older surviving slot is unreachable by recovery.
-  const std::uint64_t floor = checkpoints_->retain_floor();
-  if (floor > 0) wal_->prune_below(floor);
+  if (floor.value() > 0) wal_->prune_below(floor.value());
   return Status::ok();
 }
 

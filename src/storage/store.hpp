@@ -26,7 +26,6 @@ struct StoreOptions {
   std::uint32_t node_id = 0;   // stamped into NODE; mismatch refuses to open
   std::size_t wal_segment_bytes = 8u << 20;
   FsyncPolicy fsync = FsyncPolicy::group;
-  std::int64_t group_interval_ns = 2'000'000;
   obs::MetricsRegistry* metrics = nullptr;  // optional storage.* instruments
 };
 

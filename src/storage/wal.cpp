@@ -8,12 +8,11 @@
 #include <filesystem>
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/log.hpp"
-#include "storage/crc32.hpp"
+#include "common/serial.hpp"
+#include "storage/io.hpp"
 
 namespace bft::storage {
 
@@ -21,36 +20,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'F', 'T', 'W', 'A', 'L', '1', '\n'};
-constexpr std::size_t kMagicSize = sizeof(kMagic);
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
+constexpr std::uint8_t kMagicBytes[8] = {'B', 'F', 'T', 'W',
+                                         'A', 'L', '1', '\n'};
+constexpr ByteView kMagic(kMagicBytes);
 // A decided batch is bounded by batch_max * envelope size; anything claiming
 // more than this is a corrupt length field, not a record.
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_u32(p)) |
-         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
-}
-
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void store_u64(std::uint8_t* p, std::uint64_t v) {
-  store_u32(p, static_cast<std::uint32_t>(v));
-  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
+// Group commit: under `group` the flusher fsyncs at most once per window.
+constexpr auto kGroupCommitWindow = std::chrono::milliseconds(2);
 
 std::string segment_name(std::uint64_t first_cid) {
   char buf[40];
@@ -59,113 +36,36 @@ std::string segment_name(std::uint64_t first_cid) {
   return buf;
 }
 
-/// Memory-maps a whole file read-only; falls back to a heap read when mmap is
-/// unavailable (empty files, exotic filesystems). `out` owns the bytes either
-/// way via the returned unmapper.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return;
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      return;
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    ok_ = true;
-    if (size_ == 0) {
-      ::close(fd);
-      return;
-    }
-    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      data_ = static_cast<const std::uint8_t*>(map);
-      mapped_ = true;
-      // Sequential scan hint: recovery reads every byte exactly once.
-      ::madvise(map, size_, MADV_SEQUENTIAL);
-    } else {
-      fallback_.resize(size_);
-      std::size_t got = 0;
-      while (got < size_) {
-        const ssize_t n =
-            ::pread(fd, fallback_.data() + got, size_ - got,
-                    static_cast<off_t>(got));
-        if (n <= 0) {
-          ok_ = false;
-          break;
-        }
-        got += static_cast<std::size_t>(n);
-      }
-      data_ = fallback_.data();
-    }
-    ::close(fd);
-  }
-
-  ~MappedFile() {
-    if (mapped_) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-  }
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  bool ok() const { return ok_; }
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-
- private:
-  bool ok_ = false;
-  bool mapped_ = false;
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  Bytes fallback_;
-};
-
-/// Scans frames in [kMagicSize, size); calls `fn(cid, value)` for each valid
-/// frame (fn may be null). Returns the offset just past the last valid frame
-/// and whether the scan ended cleanly at EOF.
+/// Scans the records of a whole segment file `file` (magic already checked);
+/// calls `fn(cid, value)` for each valid one (fn may be empty). A torn,
+/// corrupt or non-monotonic frame ends the scan; `valid_end` is the offset
+/// just past the last valid frame.
 struct ScanResult {
-  std::size_t valid_end = kMagicSize;
+  std::size_t valid_end = 0;
   std::uint64_t first_cid = 0;
   std::uint64_t last_cid = 0;
-  bool clean = true;  // false: truncated/corrupt frame found
 };
 
 ScanResult scan_frames(
-    const std::uint8_t* data, std::size_t size, std::uint64_t prev_cid,
-    const std::function<void(std::uint64_t, ByteView)>* fn) {
+    ByteView file, std::uint64_t prev_cid,
+    const std::function<void(std::uint64_t, ByteView)>& fn) {
   ScanResult result;
-  std::size_t pos = kMagicSize;
+  Reader in(file);
+  in.view(kMagic.size());
+  result.valid_end = kMagic.size();
   std::uint64_t last = prev_cid;
-  while (pos + kFrameHeader <= size) {
-    const std::uint32_t len = load_u32(data + pos);
-    if (len < 8 || len > kMaxRecordBytes || pos + kFrameHeader + len > size) {
-      result.clean = false;
-      break;
-    }
-    const std::uint8_t* payload = data + pos + kFrameHeader;
-    const std::uint32_t crc = load_u32(data + pos + 4);
-    if (crc32_ieee(ByteView(payload, len)) != crc) {
-      result.clean = false;
-      break;
-    }
-    const std::uint64_t cid = load_u64(payload);
-    if (cid <= last) {  // non-monotonic: forked or corrupted history
-      result.clean = false;
-      break;
-    }
+  while (const std::optional<ByteView> payload =
+             read_frame(in, kMaxRecordBytes)) {
+    if (payload->size() < 8) break;
+    Reader record(*payload);
+    const std::uint64_t cid = record.u64();
+    if (cid <= last) break;  // non-monotonic: forked or corrupted history
     last = cid;
     if (result.first_cid == 0) result.first_cid = cid;
     result.last_cid = cid;
-    if (fn != nullptr && *fn) {
-      (*fn)(cid, ByteView(payload + 8, len - 8));
-    }
-    pos += kFrameHeader + len;
+    if (fn) fn(cid, record.view(record.remaining()));
+    result.valid_end = file.size() - in.remaining();
   }
-  if (pos != size) result.clean = false;
-  result.valid_end = pos;
   return result;
 }
 
@@ -285,23 +185,22 @@ Status WriteAheadLog::scan_on_open() {
 }
 
 bool WriteAheadLog::scan_segment(Segment& segment, std::uint64_t prev_cid) {
-  MappedFile file(segment.path);
-  if (!file.ok()) return false;
-  if (file.size() < kMagicSize ||
-      std::memcmp(file.data(), kMagic, kMagicSize) != 0) {
+  const std::optional<Bytes> file = read_file(segment.path);
+  if (!file || !has_magic(*file, kMagic)) {
     return false;  // bad header: the whole file is garbage
   }
-  const ScanResult scan = scan_frames(file.data(), file.size(), prev_cid, nullptr);
-  if (!scan.clean) {
+  const std::size_t size = file->size();
+  const ScanResult scan = scan_frames(*file, prev_cid, {});
+  if (scan.valid_end != size) {
     // Torn or corrupt tail: keep the clean prefix, drop the rest.
-    truncated_bytes_ += file.size() - scan.valid_end;
+    truncated_bytes_ += size - scan.valid_end;
     if (::truncate(segment.path.c_str(),
                    static_cast<off_t>(scan.valid_end)) != 0) {
       return false;
     }
     BFT_LOG(warn) << "wal: truncated " << segment.path << " to "
-                  << scan.valid_end << " bytes ("
-                  << (file.size() - scan.valid_end) << " torn bytes dropped)";
+                  << scan.valid_end << " bytes (" << (size - scan.valid_end)
+                  << " torn bytes dropped)";
   }
   segment.first_cid = scan.first_cid;
   segment.last_cid = scan.last_cid;
@@ -323,27 +222,12 @@ Status WriteAheadLog::open_active_segment(std::uint64_t first_cid) {
     return Status::failure("wal: cannot create " + segment.path + ": " +
                            std::strerror(errno));
   }
-  const Status header = write_fully(
-      ByteView(reinterpret_cast<const std::uint8_t*>(kMagic), kMagicSize));
-  if (!header.is_ok()) return header;
+  const Status header = write_all(active_fd_, kMagic);
+  if (!header.is_ok()) return Status::failure("wal: " + header.error());
   // Make the new segment name durable before any record relies on it.
   if (options_.fsync != FsyncPolicy::off && dir_fd_ >= 0) ::fsync(dir_fd_);
-  segment.size_bytes = kMagicSize;
+  segment.size_bytes = kMagic.size();
   segments_.push_back(std::move(segment));
-  return Status::ok();
-}
-
-Status WriteAheadLog::write_fully(ByteView data) {
-  std::size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t n = ::write(active_fd_, data.data() + done, data.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::failure(std::string("wal: write failed: ") +
-                             std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
   return Status::ok();
 }
 
@@ -358,19 +242,15 @@ Status WriteAheadLog::append(std::uint64_t cid, ByteView value) {
     if (!opened.is_ok()) return opened;
   }
 
-  const std::uint32_t payload_len = static_cast<std::uint32_t>(8 + value.size());
-  Bytes frame(kFrameHeader + payload_len);
-  store_u64(frame.data() + kFrameHeader, cid);
-  std::memcpy(frame.data() + kFrameHeader + 8, value.data(), value.size());
-  store_u32(frame.data(), payload_len);
-  store_u32(frame.data() + 4,
-            crc32_ieee(ByteView(frame.data() + kFrameHeader, payload_len)));
-
-  const Status written = write_fully(frame);
-  if (!written.is_ok()) return written;
+  Writer cid_le(8);
+  cid_le.u64(cid);
+  Writer record(kFrameHeaderBytes + 8 + value.size());
+  append_frame(record, {cid_le.data(), value});
+  const Status written = write_all(active_fd_, record.data());
+  if (!written.is_ok()) return Status::failure("wal: " + written.error());
 
   Segment& active = segments_.back();
-  active.size_bytes += frame.size();
+  active.size_bytes += record.size();
   if (active.first_cid == 0) active.first_cid = cid;
   active.last_cid = cid;
   tail_cid_ = cid;
@@ -413,9 +293,8 @@ void WriteAheadLog::flush() {
 void WriteAheadLog::flusher_main() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    flusher_cv_.wait_for(
-        lock, std::chrono::nanoseconds(options_.group_interval_ns),
-        [this] { return stopping_; });
+    flusher_cv_.wait_for(lock, kGroupCommitWindow,
+                         [this] { return stopping_; });
     if (stopping_) break;
     if (!dirty_ || active_fd_ < 0) continue;
     // Group commit: fsync a dup of the fd outside the lock so appends keep
@@ -448,21 +327,19 @@ std::uint64_t WriteAheadLog::replay(
   std::uint64_t emitted = 0;
   for (const Segment& segment : segments_) {
     if (segment.last_cid != 0 && segment.last_cid < next) continue;
-    MappedFile file(segment.path);
-    if (!file.ok() || file.size() < kMagicSize) break;
+    const std::optional<Bytes> file = read_file(segment.path);
+    if (!file || !has_magic(*file, kMagic)) break;
     bool stop = false;
-    const std::function<void(std::uint64_t, ByteView)> emit =
-        [&](std::uint64_t cid, ByteView value) {
-          if (stop || cid < next) return;
-          if (cid > next) {  // gap: the rest is unusable
-            stop = true;
-            return;
-          }
-          fn(cid, value);
-          ++next;
-          ++emitted;
-        };
-    scan_frames(file.data(), file.size(), 0, &emit);
+    scan_frames(*file, 0, [&](std::uint64_t cid, ByteView value) {
+      if (stop || cid < next) return;
+      if (cid > next) {  // gap: the rest is unusable
+        stop = true;
+        return;
+      }
+      fn(cid, value);
+      ++next;
+      ++emitted;
+    });
     if (stop) break;
   }
   return emitted;

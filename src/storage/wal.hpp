@@ -2,7 +2,8 @@
 //
 // On-disk layout (see DESIGN.md §9): a directory of segment files named
 // `wal-<first-cid, 20 decimal digits>.seg`. Each segment starts with an
-// 8-byte magic ("BFTWAL1\n") followed by length+CRC32-framed records:
+// 8-byte magic ("BFTWAL1\n") followed by length+CRC32-framed records (the
+// frame of storage/io.hpp, also used by the checkpoint body):
 //
 //   u32 payload_len | u32 crc32(payload) | payload
 //   payload = u64 cid (LE) | value bytes
@@ -16,17 +17,16 @@
 // Durability policies:
 //   * always — fsync inline after every append (slow, zero loss window);
 //   * group  — appends only write(); a background flusher thread fsyncs the
-//              active segment every `group_interval_ns` while dirty
-//              (group commit: one fsync amortizes every append in the
-//              window);
+//              active segment every 2 ms while dirty (group commit: one
+//              fsync amortizes every append in the window);
 //   * off    — never fsync (page cache only; survives process crashes, not
 //              power loss).
 //
-// Crash recovery: open() scans every segment with mmap-backed sequential
-// reads, validates each frame, and truncates the log at the first torn,
-// corrupt or non-monotonic frame — the clean prefix survives, everything
-// after the break (including later segments) is discarded, and the byte
-// count is reported so operators can see how much a power failure cost.
+// Crash recovery: open() reads every segment whole, validates each frame,
+// and truncates the log at the first torn, corrupt or non-monotonic frame —
+// the clean prefix survives, everything after the break (including later
+// segments) is discarded, and the byte count is reported so operators can
+// see how much a power failure cost.
 #pragma once
 
 #include <condition_variable>
@@ -61,7 +61,6 @@ struct WalOptions {
   std::string directory;               // created if missing
   std::size_t segment_bytes = 8u << 20;  // rotate past this size
   FsyncPolicy fsync = FsyncPolicy::group;
-  std::int64_t group_interval_ns = 2'000'000;  // flusher period under `group`
   WalInstruments instruments;
 };
 
@@ -119,7 +118,6 @@ class WriteAheadLog {
   /// Returns false if the segment is unusable (bad header) — caller deletes.
   bool scan_segment(Segment& segment, std::uint64_t prev_cid);
   Status open_active_segment(std::uint64_t first_cid);
-  Status write_fully(ByteView data);
   void fsync_active_locked();
   void flusher_main();
 

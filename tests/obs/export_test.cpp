@@ -44,7 +44,7 @@ TEST(ExportTest, GoldenDocument) {
                                    {{"tps", 12345.5}});
 
   // The 50 ns submit->propose delta lands in bucket [50, 52) whose midpoint
-  // is 51 ns, hence p50_ms = 5.1e-05 while max_ms keeps the exact 5e-05.
+  // 51 ns lies above the only sample, so the quantiles clamp to max_ms.
   const std::string expected =
       "{\"labels\":{\"bench\":\"unit\",\"quote\":\"a\\\"b\"},"
       "\"run\":{\"tps\":12345.5},"
@@ -53,8 +53,8 @@ TEST(ExportTest, GoldenDocument) {
       "\"histograms\":{\"c.ns\":{\"unit\":\"ns\",\"count\":4,\"p50\":2,"
       "\"p95\":4,\"p99\":4,\"max\":4,\"mean\":2.5}},"
       "\"trace\":{\"recorded\":2,\"dropped\":0,"
-      "\"stages\":{\"submit_to_propose\":{\"count\":1,\"p50_ms\":5.1e-05,"
-      "\"p95_ms\":5.1e-05,\"p99_ms\":5.1e-05,\"max_ms\":5e-05,"
+      "\"stages\":{\"submit_to_propose\":{\"count\":1,\"p50_ms\":5e-05,"
+      "\"p95_ms\":5e-05,\"p99_ms\":5e-05,\"max_ms\":5e-05,"
       "\"mean_ms\":5e-05}}}}";
   EXPECT_EQ(json, expected);
 }

@@ -135,6 +135,15 @@ TEST(LatencyHistogramTest, QuantileRelativeErrorBounded) {
   }
 }
 
+TEST(LatencyHistogramTest, QuantileNeverExceedsMax) {
+  // 100 lands in the bucket [100, 104), whose midpoint 102 lies above every
+  // recorded sample; the estimate must clamp to max().
+  LatencyHistogram h;
+  for (int i = 0; i < 5; ++i) h.record(100);
+  EXPECT_LE(h.quantile(0.5), 100);
+  EXPECT_LE(h.quantile(0.99), h.max());
+}
+
 // --- registry ---
 
 TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {

@@ -22,7 +22,8 @@ struct CftHarness {
     for (std::uint32_t i = 0; i < n; ++i) options.nodes.push_back(i);
     options.block_size = block_size;
     for (std::uint32_t i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<CrashOrderingNode>(i, options));
+      nodes.push_back(std::make_unique<CrashOrderingNode>(
+          i, options, std::make_shared<EcdsaBlockSigner>(i)));
       cluster.add_process(i, nodes.back().get(), sim::CpuConfig{});
     }
     FrontendOptions fo;

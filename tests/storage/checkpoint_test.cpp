@@ -36,12 +36,16 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, EmptyDirectoryLoadsNothing) {
   auto store = CheckpointStore::open(dir_.string()).take();
   EXPECT_TRUE(store->load().empty());
-  EXPECT_EQ(store->retain_floor(), 0u);
+  // Nothing older survives a first write, so its own cid is the retain
+  // floor: 0 for a checkpoint at cid 0 (nothing may be pruned).
+  const Result<std::uint64_t> floor = store->write(make(0));
+  ASSERT_TRUE(floor.ok());
+  EXPECT_EQ(floor.value(), 0u);
 }
 
 TEST_F(CheckpointTest, WriteLoadRoundTrip) {
   auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(42)).is_ok());
+  ASSERT_TRUE(store->write(make(42)).ok());
   EXPECT_GT(store->last_written_bytes(), 0u);
 
   const auto loaded = store->load();
@@ -53,22 +57,23 @@ TEST_F(CheckpointTest, WriteLoadRoundTrip) {
 
 TEST_F(CheckpointTest, SlotsAlternateAndNewestLoadsFirst) {
   auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(10)).is_ok());
-  ASSERT_TRUE(store->write(make(20)).is_ok());
-  ASSERT_TRUE(store->write(make(30)).is_ok());
+  ASSERT_TRUE(store->write(make(10)).ok());
+  ASSERT_TRUE(store->write(make(20)).ok());
+  const Result<std::uint64_t> floor = store->write(make(30));
+  ASSERT_TRUE(floor.ok());
 
   // The third write evicted cid 10 (the oldest), never cid 20.
   const auto loaded = store->load();
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].cid, 30u);
   EXPECT_EQ(loaded[1].cid, 20u);
-  EXPECT_EQ(store->retain_floor(), 20u);
+  EXPECT_EQ(floor.value(), 20u);
 }
 
 TEST_F(CheckpointTest, SurvivesProcessRestart) {
   {
     auto store = CheckpointStore::open(dir_.string()).take();
-    ASSERT_TRUE(store->write(make(7)).is_ok());
+    ASSERT_TRUE(store->write(make(7)).ok());
   }
   auto store = CheckpointStore::open(dir_.string()).take();
   const auto loaded = store->load();
@@ -78,8 +83,8 @@ TEST_F(CheckpointTest, SurvivesProcessRestart) {
 
 TEST_F(CheckpointTest, CorruptSlotIsRejectedOtherSurvives) {
   auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(10)).is_ok());
-  ASSERT_TRUE(store->write(make(20)).is_ok());
+  ASSERT_TRUE(store->write(make(10)).ok());
+  ASSERT_TRUE(store->write(make(20)).ok());
 
   // Flip a payload byte in one slot; CRC must reject it and recovery falls
   // back to the surviving checkpoint instead of trusting damaged state.
@@ -102,7 +107,7 @@ TEST_F(CheckpointTest, CorruptSlotIsRejectedOtherSurvives) {
 
 TEST_F(CheckpointTest, TruncatedSlotIsRejected) {
   auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(5)).is_ok());
+  ASSERT_TRUE(store->write(make(5)).ok());
   fs::path slot;
   for (const auto& entry : fs::directory_iterator(dir_)) slot = entry.path();
   ASSERT_FALSE(slot.empty());
@@ -127,14 +132,14 @@ TEST_F(CheckpointTest, EmptyAndGarbageSlotsAreRejected) {
   }
   EXPECT_TRUE(store->load().empty());
   // The store still accepts new checkpoints over the wreckage.
-  ASSERT_TRUE(store->write(make(3)).is_ok());
+  ASSERT_TRUE(store->write(make(3)).ok());
   ASSERT_EQ(store->load().size(), 1u);
 }
 
 TEST_F(CheckpointTest, RewriteAfterCorruptionReplacesBadSlot) {
   auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(10)).is_ok());
-  ASSERT_TRUE(store->write(make(20)).is_ok());
+  ASSERT_TRUE(store->write(make(10)).ok());
+  ASSERT_TRUE(store->write(make(20)).ok());
   // Corrupt one slot; the next write must target it (invalid counts as
   // oldest), leaving the surviving checkpoint untouched.
   for (const auto& entry : fs::directory_iterator(dir_)) {
@@ -144,7 +149,7 @@ TEST_F(CheckpointTest, RewriteAfterCorruptionReplacesBadSlot) {
     std::fclose(f);
     break;
   }
-  ASSERT_TRUE(store->write(make(30)).is_ok());
+  ASSERT_TRUE(store->write(make(30)).ok());
   const auto loaded = store->load();
   ASSERT_GE(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].cid, 30u);

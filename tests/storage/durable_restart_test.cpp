@@ -213,7 +213,7 @@ TEST_F(DurableRestartTest, TamperedCheckpointIsRefusedFailClosed) {
       // always replaces the oldest slot).
       bad.cid += static_cast<std::uint64_t>(i) + 1;
       bad.integrity[0] ^= 0xFF;
-      ASSERT_TRUE(checkpoints->write(bad).is_ok());
+      ASSERT_TRUE(checkpoints->write(bad).ok());
     }
   }
 

@@ -48,6 +48,16 @@ TEST_F(NodeStoreTest, RefusesAnotherNodesDataDir) {
   EXPECT_NE(wrong.error().find("refusing"), std::string::npos);
 }
 
+TEST_F(NodeStoreTest, FailedStampWriteFailsOpen) {
+  // The stamp is replaced through NODE.tmp; a directory in its way makes the
+  // write fail, and the store must not open unstamped.
+  fs::create_directories(dir_ / "NODE.tmp");
+  const auto store = NodeStore::open(options(3));
+  ASSERT_FALSE(store.ok());
+  EXPECT_NE(store.error().find("NODE.tmp"), std::string::npos);
+  EXPECT_FALSE(fs::exists(dir_ / "NODE"));
+}
+
 TEST_F(NodeStoreTest, AppendReplayAndMetrics) {
   obs::MetricsRegistry metrics;
   StoreOptions o = options();
@@ -101,6 +111,28 @@ TEST_F(NodeStoreTest, CheckpointWritePrunesWalAndCountsBytes) {
   EXPECT_GT(metrics.counter("storage.checkpoint_bytes").value(), 0u);
   ASSERT_EQ(store->load_checkpoints().size(), 2u);
   EXPECT_EQ(store->load_checkpoints()[0].cid, 50u);
+}
+
+TEST_F(NodeStoreTest, FailedCheckpointWriteKeepsTheWal) {
+  StoreOptions o = options();
+  o.wal_segment_bytes = 128;
+  auto store = NodeStore::open(std::move(o)).take();
+  for (std::uint64_t cid = 1; cid <= 60; ++cid) {
+    ASSERT_TRUE(store->append_decision(cid, Bytes(16, 0xAB)).is_ok());
+  }
+  const std::size_t before = store->wal().segment_count();
+
+  // A directory where the temp file must go fails the checkpoint write; the
+  // WAL behind it must then stay whole.
+  fs::create_directories(dir_ / "checkpoint-a.ckpt.tmp");
+  Checkpoint cp;
+  cp.cid = 40;
+  cp.snapshot = to_bytes("app-state");
+  cp.integrity = crypto::sha256(cp.snapshot);
+  EXPECT_FALSE(store->write_checkpoint(cp).is_ok());
+  EXPECT_EQ(store->wal().segment_count(), before);
+  EXPECT_EQ(store->wal().replay(0, [](std::uint64_t, ByteView) {}), 60u);
+  EXPECT_TRUE(store->load_checkpoints().empty());
 }
 
 }  // namespace
