@@ -110,7 +110,11 @@ int main(int argc, char** argv) {
     }
     // Count the outstanding group-commit window against the run, so `group`
     // reports durable throughput rather than page-cache throughput.
-    wal->flush();
+    const Status flushed = wal->flush();
+    if (!flushed.is_ok()) {
+      std::fprintf(stderr, "flush failed: %s\n", flushed.error().c_str());
+      return 1;
+    }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

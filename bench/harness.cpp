@@ -75,7 +75,7 @@ LanResult run_lan_throughput(const LanConfig& config) {
   network.set_machine_bandwidth(config.orderers, config.client_bandwidth_bps);
   network.set_machine_bandwidth(config.orderers + 1, config.client_bandwidth_bps);
   runtime::SimCluster cluster(std::move(network), config.seed);
-  if (config.collect_metrics) cluster.set_metrics(&registry);
+  if (config.collect_metrics) cluster.set_metrics(registry);
 
   sim::CpuConfig node_cpu;
   node_cpu.prologue_workers = config.workers;
@@ -231,7 +231,7 @@ GeoResult run_geo_latency(const GeoConfig& config) {
   ordering::Service service = ordering::make_service(options);
   runtime::SimCluster cluster(ordering::make_geo_network(topology, config.seed),
                               config.seed);
-  if (config.collect_metrics) cluster.set_metrics(&registry);
+  if (config.collect_metrics) cluster.set_metrics(registry);
   for (std::size_t i = 0; i < service.nodes.size(); ++i) {
     cluster.add_process(service.cluster.members()[i],
                         service.nodes[i].replica.get(), sim::CpuConfig{});

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Docs lint (wired into ctest as `docs_lint`): every observability name the
-# code exports must be documented in OBSERVABILITY.md, and every binary the
+# code exports must be documented in OBSERVABILITY.md, every metric the
+# catalogue documents must be registered by the code, and every binary the
 # docs name must exist.
 #
 # Checked surfaces:
@@ -9,6 +10,10 @@
 #     "sim.x", "runtime.x", "runner.x", "transport.x", "storage.x"), which
 #     survives line-wrapped registry calls. Test-only fake names (tests/) are
 #     deliberately out of scope.
+#   * the other direction: every OBSERVABILITY.md catalogue row (a table row
+#     whose first cell is a namespaced name in backticks) must name one of
+#     those registered names. Pattern rows (a `<placeholder>` in the name,
+#     such as transport.send_dropped_to_<host>_<port>) are skipped.
 #   * the eight trace stage names from obs::trace_stage_name.
 #   * every bench binary (`bench_x`, also the brace form `bench_{a,b}`) and
 #     every example binary (`build/examples/x`) that README.md, DESIGN.md,
@@ -41,6 +46,17 @@ for name in $names; do
   checked=$((checked + 1))
   if ! grep -qF "$name" "$doc"; then
     echo "docs_lint: metric '$name' is registered in code but missing from OBSERVABILITY.md"
+    fail=1
+  fi
+done
+
+catalogued="$(grep -oE '^\| `(smr|ordering|frontend|consensus|sim|runtime|runner|transport|storage)\.[^`]+`' \
+  "$doc" | sed 's/^| `//; s/`$//' | grep -v '<' | sort -u)"
+catalogued_checked=0
+for name in $catalogued; do
+  catalogued_checked=$((catalogued_checked + 1))
+  if ! echo "$names" | grep -qxF "$name"; then
+    echo "docs_lint: OBSERVABILITY.md catalogues metric '$name', which nothing in src/ or bench/ registers"
     fail=1
   fi
 done
@@ -84,6 +100,7 @@ done
 
 if [ "$fail" -eq 0 ]; then
   echo "docs_lint: $checked metric names + 8 trace stages documented;" \
+    "$catalogued_checked catalogued names registered;" \
     "$binaries_checked named binaries are built"
 fi
 exit "$fail"

@@ -16,8 +16,9 @@ crypto::Hash256 write_attestation_digest(ConsensusId cid, Epoch epoch,
   return crypto::sha256(w.data());
 }
 
-Instance::Instance(ConsensusId cid, const QuorumSystem* quorums)
-    : cid_(cid), quorums_(quorums) {}
+Instance::Instance(ConsensusId cid, const QuorumSystem* quorums,
+                   const InstanceMetrics& metrics)
+    : cid_(cid), quorums_(quorums), metrics_(&metrics) {}
 
 ValueHash Instance::add_value(Bytes value) {
   const ValueHash hash = value_hash(value);
@@ -58,14 +59,10 @@ bool Instance::on_write(Epoch epoch, ReplicaId from, const ValueHash& hash,
                         Bytes signature) {
   EpochBook& book = epochs_[epoch];
   if (book.write_votes.count(from) > 0) {  // first vote only
-    if (metrics_ != nullptr && metrics_->duplicate_votes != nullptr) {
-      metrics_->duplicate_votes->add();
-    }
+    metrics_->duplicate_votes.add();
     return false;
   }
-  if (metrics_ != nullptr && metrics_->write_votes != nullptr) {
-    metrics_->write_votes->add();
-  }
+  metrics_->write_votes.add();
   book.write_votes.emplace(from, hash);
   auto& votes = book.write_by_hash[hash];
   votes.push_back(WriteVote{from, std::move(signature)});
@@ -80,14 +77,10 @@ bool Instance::on_write(Epoch epoch, ReplicaId from, const ValueHash& hash,
 bool Instance::on_accept(Epoch epoch, ReplicaId from, const ValueHash& hash) {
   EpochBook& book = epochs_[epoch];
   if (book.accept_votes.count(from) > 0) {
-    if (metrics_ != nullptr && metrics_->duplicate_votes != nullptr) {
-      metrics_->duplicate_votes->add();
-    }
+    metrics_->duplicate_votes.add();
     return false;
   }
-  if (metrics_ != nullptr && metrics_->accept_votes != nullptr) {
-    metrics_->accept_votes->add();
-  }
+  metrics_->accept_votes.add();
   book.accept_votes.emplace(from, hash);
   auto& voters = book.accept_by_hash[hash];
   voters.insert(from);

@@ -45,24 +45,22 @@ struct WriteCertificate {
   std::vector<WriteVote> votes;
 };
 
-/// Optional vote-accounting counters shared by every instance of one replica
-/// (the replica registers them once and points each driver here). All-null
-/// pointers (the default) disable the accounting.
+/// Vote-accounting counters shared by every instance of one replica (the
+/// replica registers them once and hands them to each instance it creates).
 struct InstanceMetrics {
-  obs::Counter* write_votes = nullptr;      // WRITE votes registered
-  obs::Counter* accept_votes = nullptr;     // ACCEPT votes registered
-  obs::Counter* duplicate_votes = nullptr;  // re-votes dropped by the
-                                            // first-vote-only rule
+  obs::Counter& write_votes;      // WRITE votes registered
+  obs::Counter& accept_votes;     // ACCEPT votes registered
+  obs::Counter& duplicate_votes;  // re-votes dropped by the first-vote-only
+                                  // rule
 };
 
 class Instance {
  public:
-  Instance(ConsensusId cid, const QuorumSystem* quorums);
+  /// `metrics` is borrowed and must outlive the instance.
+  Instance(ConsensusId cid, const QuorumSystem* quorums,
+           const InstanceMetrics& metrics);
 
   ConsensusId cid() const { return cid_; }
-
-  /// Attaches shared vote counters (non-owning; may be null to detach).
-  void set_metrics(const InstanceMetrics* metrics) { metrics_ = metrics; }
 
   /// Stores a value so it can be matched against its hash later; returns the
   /// hash. Idempotent.
@@ -121,7 +119,7 @@ class Instance {
   std::map<ValueHash, Bytes> values_;
   std::optional<ValueHash> decided_;
   Epoch decided_epoch_ = 0;
-  const InstanceMetrics* metrics_ = nullptr;
+  const InstanceMetrics* metrics_;
 };
 
 }  // namespace bft::consensus

@@ -146,4 +146,23 @@ class MetricsRegistry {
   std::map<std::string, Slot> slots_;
 };
 
+/// The registry an instrumented component records into: the one it was
+/// given, which is the one that gets exported, or, when it was given none,
+/// one it owns and nobody reads. Either way the component resolves its
+/// instruments once and records unconditionally.
+class RegistryOrOwned {
+ public:
+  explicit RegistryOrOwned(MetricsRegistry* given)
+      : owned_(given == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
+        registry_(given != nullptr ? given : owned_.get()) {}
+
+  MetricsRegistry& operator*() const { return *registry_; }
+  MetricsRegistry* operator->() const { return registry_; }
+  MetricsRegistry* get() const { return registry_; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
+};
+
 }  // namespace bft::obs

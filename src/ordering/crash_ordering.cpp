@@ -1,16 +1,17 @@
 #include "ordering/crash_ordering.hpp"
 
-#include "ordering/channels.hpp"
 #include "smr/wire.hpp"
 
 namespace bft::ordering {
 
 namespace {
 
-// Wire kinds beyond the BFT set (smr::MsgKind stops at 15).
+// Wire kinds beyond the BFT set (smr::MsgKind ends at smr::kLastMsgKind).
 constexpr std::uint8_t kAppend = 20;
 constexpr std::uint8_t kAck = 21;
 constexpr std::uint8_t kCommit = 22;
+static_assert(kAppend > static_cast<std::uint8_t>(smr::kLastMsgKind),
+              "crash-ordering kinds must not collide with smr::MsgKind");
 
 Bytes encode_append(std::uint64_t seq, ByteView envelope) {
   Writer w(envelope.size() + 16);

@@ -31,20 +31,21 @@ NodeBundle make_bundle(const ServiceOptions& options,
                        runtime::ProcessId node) {
   NodeBundle bundle;
   bundle.signer = make_signer(options, node);
-  const bool instrumented =
+  // Only the probe node exports; the others record into their own registries.
+  const bool exported =
       options.metrics != nullptr && node == options.metrics_node;
   OrderingNodeOptions node_options;
   node_options.default_channel = options.channel;
   node_options.block_size = options.block_size;
   node_options.batch_timeout = options.batch_timeout;
   node_options.double_sign = options.double_sign;
-  if (instrumented) {
+  if (exported) {
     node_options.metrics = options.metrics;
     node_options.trace = options.trace;
   }
   bundle.app = std::make_unique<OrderingNode>(node_options, bundle.signer);
   smr::ReplicaParams replica_params = options.replica_params;
-  if (instrumented) {
+  if (exported) {
     replica_params.metrics = options.metrics;
     replica_params.trace = options.trace;
   } else {

@@ -35,10 +35,11 @@ struct ServiceOptions {
   /// Byzantine fault injection: these nodes emit invalid block signatures
   /// (their blocks are correct, their signatures never verify).
   std::set<runtime::ProcessId> corrupt_signers{};
-  /// Optional observability sinks (non-owning; must outlive the service).
-  /// Wired into the replica + ordering node of `metrics_node` only: metric
-  /// names carry no per-node prefix, so instrumenting one probe node keeps
-  /// the export unambiguous (frontends are wired separately by the caller).
+  /// Observability sinks (non-owning; must outlive the service). Every node
+  /// records; `metrics` is exported for the replica + ordering node of
+  /// `metrics_node` only, since metric names carry no per-node prefix (the
+  /// other nodes record into registries of their own). Frontends are wired
+  /// separately by the caller. `trace` follows `metrics` and is optional.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
   runtime::ProcessId metrics_node = 0;

@@ -4,27 +4,28 @@
 
 namespace bft::ordering {
 
+Frontend::Instruments::Instruments(obs::MetricsRegistry& reg)
+    : submitted(
+          reg.counter("frontend.submitted", "envelopes relayed to the cluster")),
+      pushes_received(reg.counter("frontend.pushes_received",
+                                  "block pushes received on our channel")),
+      delivered_blocks(reg.counter("frontend.delivered_blocks",
+                                   "blocks with delivery quorum")),
+      delivered_envelopes(
+          reg.counter("frontend.delivered_envelopes", "envelopes delivered")),
+      submit_to_deliver(reg.histogram(
+          "frontend.submit_to_deliver_ns", "ns",
+          "submit to delivery quorum, own tracked envelopes only")) {}
+
 Frontend::Frontend(smr::ClusterConfig cluster, FrontendOptions options,
                    BlockCallback on_block)
     : cluster_(std::move(cluster)),
       options_(std::move(options)),
-      on_block_(std::move(on_block)) {
+      on_block_(std::move(on_block)),
+      metrics_(options_.metrics),
+      m_(*metrics_) {
   if (options_.verify_signatures && options_.verifier == nullptr) {
     throw std::invalid_argument("Frontend: verification requires a verifier");
-  }
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    m_.submitted =
-        &reg.counter("frontend.submitted", "envelopes relayed to the cluster");
-    m_.pushes_received = &reg.counter("frontend.pushes_received",
-                                      "block pushes received on our channel");
-    m_.delivered_blocks =
-        &reg.counter("frontend.delivered_blocks", "blocks with delivery quorum");
-    m_.delivered_envelopes =
-        &reg.counter("frontend.delivered_envelopes", "envelopes delivered");
-    m_.submit_to_deliver = &reg.histogram(
-        "frontend.submit_to_deliver_ns", "ns",
-        "submit to delivery quorum, own tracked envelopes only");
   }
 }
 
@@ -57,7 +58,7 @@ void Frontend::submit(Bytes envelope) {
     env().send(node, encoded);
   }
   ++submitted_;
-  if (m_.submitted != nullptr) m_.submitted->add();
+  m_.submitted.add();
 }
 
 bool Frontend::quorum_reached(const Tally& tally) const {
@@ -115,7 +116,7 @@ void Frontend::consume(runtime::Verified&& verified) {
   }
 
   if (sb.channel != options_.channel) return;  // another channel's chain
-  if (m_.pushes_received != nullptr) m_.pushes_received->add();
+  m_.pushes_received.add();
   const std::uint64_t number = sb.block.header.number;
   if (number < next_delivery_number_) return;  // already delivered
 
@@ -149,10 +150,8 @@ void Frontend::deliver(const ledger::Block& block) {
   ++delivered_blocks_;
   delivered_envelopes_ += block.envelopes.size();
   last_delivery_ = env().now();
-  if (m_.delivered_blocks != nullptr) m_.delivered_blocks->add();
-  if (m_.delivered_envelopes != nullptr) {
-    m_.delivered_envelopes->add(block.envelopes.size());
-  }
+  m_.delivered_blocks.add();
+  m_.delivered_envelopes.add(block.envelopes.size());
   if (options_.trace != nullptr) {
     // Block-granularity delivery event; pairs with the ordering node's push
     // via the block number in `detail` (see kBlockTraceClient).
@@ -166,7 +165,7 @@ void Frontend::deliver(const ledger::Block& block) {
       if (it != inflight_.end()) {
         const std::int64_t delta = env().now() - it->second.at;
         latencies_.add(static_cast<double>(delta) / 1e6);
-        if (m_.submit_to_deliver != nullptr) m_.submit_to_deliver->record(delta);
+        m_.submit_to_deliver.record(delta);
         if (options_.trace != nullptr) {
           // Per-envelope delivery for envelopes this frontend submitted
           // itself: closes the submit→frontend_accept chain.

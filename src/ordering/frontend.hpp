@@ -36,9 +36,11 @@ struct FrontendOptions {
   /// Non-zero: accept a block after exactly this many matching copies
   /// (overrides the 2f+1 / f+1 / weighted rules; crash-fault baselines use 1).
   std::size_t required_copies = 0;
-  /// Optional observability sinks (non-owning; must outlive the frontend).
-  /// Several frontends may share one registry — their frontend.* counters
-  /// then aggregate. See OBSERVABILITY.md.
+  /// Observability sinks (non-owning; must outlive the frontend). The
+  /// frontend always records its frontend.* instruments (OBSERVABILITY.md);
+  /// `metrics` is the registry that gets exported, and when null the
+  /// frontend records into one of its own. Several frontends may share one
+  /// registry; their counters then aggregate. `trace` is optional.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
 };
@@ -107,16 +109,18 @@ class Frontend : public runtime::Actor {
   std::uint64_t delivered_envelopes_ = 0;
   runtime::TimePoint last_delivery_ = -1;
 
-  // Observability handles resolved once at construction (all null when no
-  // registry is wired). Catalogue: OBSERVABILITY.md.
-  struct MetricHandles {
-    obs::Counter* submitted = nullptr;
-    obs::Counter* pushes_received = nullptr;
-    obs::Counter* delivered_blocks = nullptr;
-    obs::Counter* delivered_envelopes = nullptr;
-    obs::LatencyHistogram* submit_to_deliver = nullptr;
+  // Observability: instruments resolved once at construction from
+  // options_.metrics or a registry of our own. Catalogue: OBSERVABILITY.md.
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& reg);
+    obs::Counter& submitted;
+    obs::Counter& pushes_received;
+    obs::Counter& delivered_blocks;
+    obs::Counter& delivered_envelopes;
+    obs::LatencyHistogram& submit_to_deliver;
   };
-  MetricHandles m_;
+  obs::RegistryOrOwned metrics_;
+  Instruments m_;
 };
 
 }  // namespace bft::ordering

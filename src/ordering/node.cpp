@@ -53,31 +53,33 @@ OrderedPayload OrderedPayload::decode(ByteView data) {
   return p;
 }
 
+OrderingNode::Instruments::Instruments(obs::MetricsRegistry& reg)
+    : envelopes_ordered(reg.counter("ordering.envelopes_ordered",
+                                    "envelopes through execute()")),
+      blocks_cut(reg.counter("ordering.blocks_cut",
+                             "blocks emitted (including replayed cuts)")),
+      blocks_signed(
+          reg.counter("ordering.blocks_signed", "signing jobs completed")),
+      cut_markers(
+          reg.counter("ordering.cut_markers", "time-to-cut markers submitted")),
+      pending_envelopes(reg.gauge("ordering.pending_envelopes",
+                                  "envelopes waiting in blockcutters")),
+      block_fill(reg.histogram("ordering.block_fill", "envelopes",
+                               "envelopes per block")),
+      sign_latency(reg.histogram("ordering.sign_ns", "ns",
+                                 "signer-pool queue + signing latency")) {}
+
 OrderingNode::OrderingNode(OrderingNodeOptions options,
                            std::shared_ptr<BlockSigner> signer)
-    : options_(std::move(options)), signer_(std::move(signer)) {
+    : options_(std::move(options)),
+      signer_(std::move(signer)),
+      metrics_(options_.metrics),
+      m_(*metrics_) {
   if (signer_ == nullptr) {
     throw std::invalid_argument("OrderingNode: null signer");
   }
   if (options_.block_size == 0) {
     throw std::invalid_argument("OrderingNode: zero block size");
-  }
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    m_.envelopes_ordered = &reg.counter("ordering.envelopes_ordered",
-                                        "envelopes through execute()");
-    m_.blocks_cut = &reg.counter("ordering.blocks_cut",
-                                 "blocks emitted (including replayed cuts)");
-    m_.blocks_signed =
-        &reg.counter("ordering.blocks_signed", "signing jobs completed");
-    m_.cut_markers =
-        &reg.counter("ordering.cut_markers", "time-to-cut markers submitted");
-    m_.pending_envelopes = &reg.gauge("ordering.pending_envelopes",
-                                      "envelopes waiting in blockcutters");
-    m_.block_fill =
-        &reg.histogram("ordering.block_fill", "envelopes", "envelopes per block");
-    m_.sign_latency = &reg.histogram(
-        "ordering.sign_ns", "ns", "signer-pool queue + signing latency");
   }
 }
 
@@ -110,7 +112,7 @@ Bytes OrderingNode::execute(const smr::Request& request,
   ChannelState& state = channel_state(payload.channel);
   if (payload.kind == OrderedPayload::Kind::envelope) {
     ++envelopes_ordered_;
-    if (m_.envelopes_ordered != nullptr) m_.envelopes_ordered->add();
+    m_.envelopes_ordered.add();
     if (options_.trace != nullptr) {
       state.trace_keys.emplace_back(request.client, request.seq);
     }
@@ -128,9 +130,7 @@ Bytes OrderingNode::execute(const smr::Request& request,
       emit_block(payload.channel, state, state.cutter.cut());
     }
   }
-  if (m_.pending_envelopes != nullptr) {
-    m_.pending_envelopes->set(static_cast<std::int64_t>(pending_total()));
-  }
+  m_.pending_envelopes.set(static_cast<std::int64_t>(pending_total()));
   return {};
 }
 
@@ -150,10 +150,8 @@ void OrderingNode::emit_block(const std::string& channel, ChannelState& state,
       std::move(envelopes));
   state.previous_header_hash = block.header.digest();
   ++blocks_created_;
-  if (m_.blocks_cut != nullptr) m_.blocks_cut->add();
-  if (m_.block_fill != nullptr) {
-    m_.block_fill->record(static_cast<std::int64_t>(fill));
-  }
+  m_.blocks_cut.add();
+  m_.block_fill.record(static_cast<std::int64_t>(fill));
 
   state.recent_blocks.push_back(block);
   while (state.recent_blocks.size() > kPushCacheBlocks) {
@@ -210,10 +208,8 @@ void OrderingNode::sign_and_push(std::string channel, ledger::Block block,
        channel = std::move(channel),
        block = std::move(block)](Bytes signature) mutable {
         const runtime::TimePoint now = replica->runtime_env().now();
-        if (m_.blocks_signed != nullptr) m_.blocks_signed->add();
-        if (m_.sign_latency != nullptr) {
-          m_.sign_latency->record(now - sign_submit_at);
-        }
+        m_.blocks_signed.add();
+        m_.sign_latency.record(now - sign_submit_at);
         if (options_.trace != nullptr) {
           const auto self = replica->self_id();
           for (const auto& [client, seq] : keys) {
@@ -300,7 +296,7 @@ void OrderingNode::send_cut_markers() {
     request.seq = marker_seq_;
     request.payload = marker.encode();
     const Payload encoded = Payload(smr::encode(request));
-    if (m_.cut_markers != nullptr) m_.cut_markers->add();
+    m_.cut_markers.add();
     for (runtime::ProcessId member : replica_->config().members()) {
       replica_->runtime_env().send(member, encoded);
     }

@@ -17,10 +17,10 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "ledger/block.hpp"
 #include "ordering/blockcutter.hpp"
-#include "ordering/channels.hpp"
 #include "ordering/signer.hpp"
 #include "smr/replica.hpp"
 
@@ -65,9 +65,10 @@ struct OrderingNodeOptions {
   /// HLF 1.0 sometimes requires a second signature per block (footnote 10);
   /// when set, each block costs two signature computations.
   bool double_sign = false;
-  /// Optional observability sinks (non-owning; must outlive the node). Null
-  /// disables instrumentation. See OBSERVABILITY.md for the ordering.* names
-  /// this node emits.
+  /// Observability sinks (non-owning; must outlive the node). The node
+  /// always records its ordering.* instruments (OBSERVABILITY.md); `metrics`
+  /// is the registry that gets exported, and when null the node records
+  /// into one of its own. `trace` is optional.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
 };
@@ -160,18 +161,20 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   bool batch_timer_armed_ = false;
   std::uint64_t marker_seq_ = 0;
 
-  // Observability handles resolved once at construction (all null when no
-  // registry is wired). Catalogue: OBSERVABILITY.md.
-  struct MetricHandles {
-    obs::Counter* envelopes_ordered = nullptr;
-    obs::Counter* blocks_cut = nullptr;
-    obs::Counter* blocks_signed = nullptr;
-    obs::Counter* cut_markers = nullptr;
-    obs::Gauge* pending_envelopes = nullptr;
-    obs::LatencyHistogram* block_fill = nullptr;
-    obs::LatencyHistogram* sign_latency = nullptr;
+  // Observability: instruments resolved once at construction from
+  // options_.metrics or a registry of our own. Catalogue: OBSERVABILITY.md.
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& reg);
+    obs::Counter& envelopes_ordered;
+    obs::Counter& blocks_cut;
+    obs::Counter& blocks_signed;
+    obs::Counter& cut_markers;
+    obs::Gauge& pending_envelopes;
+    obs::LatencyHistogram& block_fill;
+    obs::LatencyHistogram& sign_latency;
   };
-  MetricHandles m_;
+  obs::RegistryOrOwned metrics_;
+  Instruments m_;
 };
 
 }  // namespace bft::ordering

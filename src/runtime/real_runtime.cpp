@@ -97,15 +97,13 @@ class RealCluster::ProcessEnv final : public Env {
 RealCluster::RealCluster() : RealCluster(RealClusterOptions{}) {}
 
 RealCluster::RealCluster(RealClusterOptions options)
-    : options_(options), epoch_(std::chrono::steady_clock::now()) {
-  if (options_.metrics != nullptr) {
-    inbox_depth_gauge_ = &options_.metrics->gauge(
-        "runtime.inbox_depth", "depth of the most recently written inbox");
-    inbox_dropped_counter_ = &options_.metrics->counter(
-        "runtime.inbox_dropped", "messages shed by full bounded inboxes");
-    runner_metrics_ = RunnerMetrics::registered(*options_.metrics);
-  }
-}
+    : options_(options),
+      epoch_(std::chrono::steady_clock::now()),
+      metrics_(options_.metrics),
+      inbox_depth_gauge_(metrics_->gauge(
+          "runtime.inbox_depth", "depth of the most recently written inbox")),
+      inbox_dropped_counter_(metrics_->counter(
+          "runtime.inbox_dropped", "messages shed by full bounded inboxes")) {}
 
 RealCluster::~RealCluster() { stop(); }
 
@@ -124,7 +122,7 @@ void RealCluster::add_process(ProcessId id, Actor* actor,
   if (worker_threads > 0) {
     WorkerPoolRunnerOptions runner_options;
     runner_options.workers = worker_threads;
-    runner_options.metrics = runner_metrics_;
+    runner_options.metrics = metrics_.get();
     // Epilogues enter the inbox as control items: the sink is invoked in
     // sequence order and the inbox is FIFO, so consume order == arrival
     // order even though prologues complete on arbitrary workers.
@@ -220,7 +218,7 @@ void RealCluster::deliver_local(ProcessId from, ProcessId to, Payload payload) {
   if (options_.inbox_capacity != 0 &&
       proc.staged.load(std::memory_order_relaxed) >= options_.inbox_capacity) {
     inbox_dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (inbox_dropped_counter_ != nullptr) inbox_dropped_counter_->add();
+    inbox_dropped_counter_.add();
     return;
   }
   proc.staged.fetch_add(1, std::memory_order_relaxed);
@@ -268,7 +266,7 @@ void RealCluster::enqueue(ProcessId to, std::function<void()> fn,
     // is full we shed instead of blocking one event loop on another.
     if (!proc.inbox.try_push(std::move(fn))) {
       inbox_dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (inbox_dropped_counter_ != nullptr) inbox_dropped_counter_->add();
+      inbox_dropped_counter_.add();
       return;
     }
   } else {
@@ -276,9 +274,7 @@ void RealCluster::enqueue(ProcessId to, std::function<void()> fn,
     // these producers are few and the capacity is sized for message floods.
     proc.inbox.push(std::move(fn));
   }
-  if (inbox_depth_gauge_ != nullptr) {
-    inbox_depth_gauge_->set(static_cast<std::int64_t>(proc.inbox.size()));
-  }
+  inbox_depth_gauge_.set(static_cast<std::int64_t>(proc.inbox.size()));
 }
 
 void RealCluster::timer_loop() {

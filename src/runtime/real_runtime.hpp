@@ -38,9 +38,10 @@ struct RealClusterOptions {
   /// must outlive the cluster). The caller starts/stops the transport and
   /// routes its inbound frames to deliver_local().
   Transport* transport = nullptr;
-  /// Optional observability registry (borrowed). Registers
-  /// runtime.inbox_depth / runtime.inbox_dropped plus the runner.* staged
-  /// pipeline table; see OBSERVABILITY.md.
+  /// Registry to export (borrowed; must outlive the cluster). The cluster
+  /// always records runtime.inbox_depth / runtime.inbox_dropped, and its
+  /// hosted runners the runner.* staged-pipeline table (OBSERVABILITY.md),
+  /// all into this registry; when null, into one the cluster owns.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -119,9 +120,9 @@ class RealCluster {
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> inbox_dropped_{0};
-  obs::Gauge* inbox_depth_gauge_ = nullptr;    // deepest local inbox
-  obs::Counter* inbox_dropped_counter_ = nullptr;
-  RunnerMetrics runner_metrics_;  // shared across all hosted runners
+  obs::RegistryOrOwned metrics_;  // also handed to every hosted runner
+  obs::Gauge& inbox_depth_gauge_;  // most recently written inbox
+  obs::Counter& inbox_dropped_counter_;
 
   std::mutex timer_mutex_;
   std::condition_variable timer_cv_;

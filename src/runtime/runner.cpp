@@ -5,33 +5,32 @@
 
 namespace bft::runtime {
 
-RunnerMetrics RunnerMetrics::registered(obs::MetricsRegistry& registry) {
-  RunnerMetrics m;
-  m.queue_depth =
-      &registry.gauge("runner.queue_depth", "staged prologues not yet picked up by a worker");
-  m.workers = &registry.gauge("runner.workers", "prologue worker threads per runner");
-  m.prologues = &registry.counter("runner.prologues", "prologues executed");
-  m.prologue_exceptions = &registry.counter(
-      "runner.prologue_exceptions", "prologues that threw (contained; slot advanced)");
-  m.worker_busy_ns = &registry.counter(
-      "runner.worker_busy_ns", "total worker time spent inside prologues "
-      "(utilization = busy_ns / (workers * wall))");
-  m.prologue_ns =
-      &registry.histogram("runner.prologue_ns", "ns", "prologue execution latency");
-  m.reorder_wait_ns = &registry.histogram(
-      "runner.reorder_wait_ns", "ns",
-      "time a completed epilogue waited for earlier sequence numbers");
-  return m;
-}
+WorkerPoolRunner::Instruments::Instruments(obs::MetricsRegistry& reg)
+    : queue_depth(reg.gauge("runner.queue_depth",
+                            "staged prologues not yet picked up by a worker")),
+      workers(reg.gauge("runner.workers", "prologue worker threads per runner")),
+      prologues(reg.counter("runner.prologues", "prologues executed")),
+      prologue_exceptions(reg.counter(
+          "runner.prologue_exceptions",
+          "prologues that threw (contained; slot advanced)")),
+      worker_busy_ns(reg.counter(
+          "runner.worker_busy_ns",
+          "total worker time spent inside prologues "
+          "(utilization = busy_ns / (workers * wall))")),
+      prologue_ns(reg.histogram("runner.prologue_ns", "ns",
+                                "prologue execution latency")),
+      reorder_wait_ns(reg.histogram(
+          "runner.reorder_wait_ns", "ns",
+          "time a completed epilogue waited for earlier sequence numbers")) {}
 
 WorkerPoolRunner::WorkerPoolRunner(WorkerPoolRunnerOptions options,
                                    EpilogueSink sink)
-    : options_(options), sink_(std::move(sink)) {
+    : options_(options),
+      sink_(std::move(sink)),
+      metrics_(options_.metrics),
+      m_(*metrics_) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.metrics.workers != nullptr) {
-    options_.metrics.workers->set(
-        static_cast<std::int64_t>(options_.workers));
-  }
+  m_.workers.set(static_cast<std::int64_t>(options_.workers));
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -53,10 +52,7 @@ void WorkerPoolRunner::submit(Prologue prologue) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pending_.push_back(Staged{next_submit_seq_++, std::move(prologue)});
-    if (options_.metrics.queue_depth != nullptr) {
-      options_.metrics.queue_depth->set(
-          static_cast<std::int64_t>(pending_.size()));
-    }
+    m_.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
   }
   work_cv_.notify_one();
 }
@@ -75,10 +71,7 @@ void WorkerPoolRunner::worker_loop() {
     if (stopping_) return;  // unrun prologues are abandoned; see stop contract
     Staged staged = std::move(pending_.front());
     pending_.pop_front();
-    if (options_.metrics.queue_depth != nullptr) {
-      options_.metrics.queue_depth->set(
-          static_cast<std::int64_t>(pending_.size()));
-    }
+    m_.queue_depth.set(static_cast<std::int64_t>(pending_.size()));
     lock.unlock();
 
     const std::int64_t start = steady_ns();
@@ -86,20 +79,12 @@ void WorkerPoolRunner::worker_loop() {
     try {
       epilogue = staged.prologue();
     } catch (...) {
-      if (options_.metrics.prologue_exceptions != nullptr) {
-        options_.metrics.prologue_exceptions->add();
-      }
+      m_.prologue_exceptions.add();
     }
     const std::int64_t done = steady_ns();
-    if (options_.metrics.prologues != nullptr) options_.metrics.prologues->add();
-    if (options_.metrics.worker_busy_ns != nullptr) {
-      options_.metrics.worker_busy_ns->add(
-          static_cast<std::uint64_t>(done - start));
-    }
-    if (options_.metrics.prologue_ns != nullptr) {
-      options_.metrics.prologue_ns->record(
-          static_cast<std::uint64_t>(done - start));
-    }
+    m_.prologues.add();
+    m_.worker_busy_ns.add(static_cast<std::uint64_t>(done - start));
+    m_.prologue_ns.record(done - start);
 
     lock.lock();
     reorder_.emplace(staged.seq, Ready{std::move(epilogue), done});
@@ -116,11 +101,8 @@ void WorkerPoolRunner::release_ready(std::unique_lock<std::mutex>& lock) {
     reorder_.erase(it);
     ++next_release_seq_;
     lock.unlock();
-    if (options_.metrics.reorder_wait_ns != nullptr) {
-      const std::int64_t waited = steady_ns() - ready.completed_ns;
-      options_.metrics.reorder_wait_ns->record(
-          static_cast<std::uint64_t>(waited > 0 ? waited : 0));
-    }
+    const std::int64_t waited = steady_ns() - ready.completed_ns;
+    m_.reorder_wait_ns.record(waited > 0 ? waited : 0);
     // Sink outside the lock so a momentarily blocked sink (a full inbox the
     // home loop is still draining) does not stall the workers; `releasing_`
     // keeps sink order == sequence order.

@@ -41,26 +41,13 @@ using Prologue = std::function<Epilogue()>;
 /// that appends to a FIFO (an event-loop inbox) preserves protocol order.
 using EpilogueSink = std::function<void(Epilogue)>;
 
-/// Aggregate runner.* instrumentation, shareable across runner instances
-/// (RealCluster registers one set for all hosted processes). All pointers
-/// may be null (uninstrumented).
-struct RunnerMetrics {
-  obs::Gauge* queue_depth = nullptr;         // runner.queue_depth
-  obs::Gauge* workers = nullptr;             // runner.workers
-  obs::Counter* prologues = nullptr;         // runner.prologues
-  obs::Counter* prologue_exceptions = nullptr;  // runner.prologue_exceptions
-  obs::Counter* worker_busy_ns = nullptr;    // runner.worker_busy_ns
-  obs::LatencyHistogram* prologue_ns = nullptr;      // runner.prologue_ns
-  obs::LatencyHistogram* reorder_wait_ns = nullptr;  // runner.reorder_wait_ns
-
-  /// Registers the full runner.* table in `registry` (names documented in
-  /// OBSERVABILITY.md).
-  static RunnerMetrics registered(obs::MetricsRegistry& registry);
-};
-
 struct WorkerPoolRunnerOptions {
   std::size_t workers = 2;
-  RunnerMetrics metrics;
+  /// Registry the runner.* instruments (OBSERVABILITY.md) live in (borrowed;
+  /// must outlive the runner). Runners given the same registry aggregate, as
+  /// RealCluster's hosted runners do; when null the runner records into a
+  /// registry of its own.
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Pool of workers running prologues concurrently. Epilogues enter a
@@ -99,6 +86,17 @@ class WorkerPoolRunner {
     std::int64_t completed_ns = 0;  // reorder-wait measurement
   };
 
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& reg);
+    obs::Gauge& queue_depth;
+    obs::Gauge& workers;
+    obs::Counter& prologues;
+    obs::Counter& prologue_exceptions;
+    obs::Counter& worker_busy_ns;
+    obs::LatencyHistogram& prologue_ns;
+    obs::LatencyHistogram& reorder_wait_ns;
+  };
+
   void worker_loop();
   /// Releases every in-order epilogue; at most one thread sinks at a time so
   /// sink order == sequence order.
@@ -107,6 +105,8 @@ class WorkerPoolRunner {
 
   WorkerPoolRunnerOptions options_;
   EpilogueSink sink_;
+  obs::RegistryOrOwned metrics_;
+  Instruments m_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;    // workers wait for pending prologues

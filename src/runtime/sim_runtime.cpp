@@ -75,7 +75,7 @@ class SimCluster::ProcessEnv final : public Env {
       Process& p = cluster_.process(id_);
       if (p.incarnation != inc || cluster_.crashed_.count(id_)) return;
       if (p.cancelled_timers.erase(id) > 0) return;
-      if (cluster_.timers_fired_ != nullptr) cluster_.timers_fired_->add();
+      cluster_.timers_fired_->add();
       activate(cluster_.scheduler_.now());
       p.actor->on_timer(id);
     });
@@ -101,7 +101,7 @@ class SimCluster::ProcessEnv final : public Env {
                      result = std::move(result)]() mutable {
           Process& p = cluster_.process(id_);
           if (p.incarnation != inc || cluster_.crashed_.count(id_)) return;
-          if (cluster_.worker_jobs_ != nullptr) cluster_.worker_jobs_->add();
+          cluster_.worker_jobs_->add();
           activate(cluster_.scheduler_.now());
           done(std::move(result));
         });
@@ -149,7 +149,9 @@ SimCluster::SimCluster(sim::Network network, std::uint64_t seed)
     : network_(std::move(network)),
       seed_(seed),
       seed_rng_(seed),
-      fault_rng_(seed ^ 0xc0ffee5eedULL) {}
+      fault_rng_(seed ^ 0xc0ffee5eedULL) {
+  set_metrics(own_metrics_);
+}
 
 SimCluster::~SimCluster() = default;
 
@@ -254,7 +256,7 @@ void SimCluster::deliver_message(ProcessId from, ProcessId to, Payload payload,
           // Serial reference path (--workers 0): consume immediately in the
           // same event; consume() charges the full handler cost itself, so
           // this is byte-identical to the old single-phase delivery.
-          if (messages_delivered_ != nullptr) messages_delivered_->add();
+          messages_delivered_->add();
           proc.actor->consume(std::move(v));
           return;
         }
@@ -271,26 +273,20 @@ void SimCluster::deliver_message(ProcessId from, ProcessId to, Payload payload,
         scheduler_.schedule_at(release, [this, to, inc, v = std::move(v)]() mutable {
           Process& p = process(to);
           if (p.incarnation != inc || crashed_.count(to)) return;
-          if (messages_delivered_ != nullptr) messages_delivered_->add();
+          messages_delivered_->add();
           p.env->activate(scheduler_.now());
           p.actor->consume(std::move(v));
         });
       });
 }
 
-void SimCluster::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    messages_delivered_ = nullptr;
-    timers_fired_ = nullptr;
-    worker_jobs_ = nullptr;
-    return;
-  }
-  messages_delivered_ = &registry->counter("sim.messages_delivered",
-                                           "messages handed to live actors");
-  timers_fired_ = &registry->counter("sim.timers_fired",
-                                     "timer callbacks delivered");
-  worker_jobs_ = &registry->counter("sim.worker_jobs",
-                                    "worker-pool completions delivered");
+void SimCluster::set_metrics(obs::MetricsRegistry& registry) {
+  messages_delivered_ = &registry.counter("sim.messages_delivered",
+                                          "messages handed to live actors");
+  timers_fired_ =
+      &registry.counter("sim.timers_fired", "timer callbacks delivered");
+  worker_jobs_ = &registry.counter("sim.worker_jobs",
+                                   "worker-pool completions delivered");
 }
 
 void SimCluster::export_metrics(obs::MetricsRegistry& registry,

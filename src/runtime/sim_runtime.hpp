@@ -71,11 +71,12 @@ class SimCluster {
   /// Protocol-thread utilization of a process (0 if it has no CPU model).
   double protocol_utilization(ProcessId id) const;
 
-  /// Wires live runtime counters (sim.messages_delivered, sim.timers_fired,
-  /// sim.worker_jobs) into `registry`; null detaches. Recording never touches
-  /// per-process RNGs or the event order, so instrumented runs stay
-  /// bit-identical to uninstrumented ones.
-  void set_metrics(obs::MetricsRegistry* registry);
+  /// Records the live runtime counters (sim.messages_delivered,
+  /// sim.timers_fired, sim.worker_jobs) into `registry`, the one to export,
+  /// from now on; until then the cluster records into a registry of its own.
+  /// Recording never touches per-process RNGs or the event order, so
+  /// exported runs stay bit-identical to unexported ones.
+  void set_metrics(obs::MetricsRegistry& registry);
 
   /// Writes end-of-run gauges (sim.executed_events, sim.now_ns, and the
   /// protocol utilization of `utilization_of` in parts-per-million). Call at
@@ -118,10 +119,12 @@ class SimCluster {
   Filter filter_;
   std::optional<sim::LinkFaultModel> fault_model_;
 
-  // Live runtime counters (null = uninstrumented; see set_metrics).
-  obs::Counter* messages_delivered_ = nullptr;
-  obs::Counter* timers_fired_ = nullptr;
-  obs::Counter* worker_jobs_ = nullptr;
+  // Live runtime counters, in own_metrics_ until set_metrics points them
+  // elsewhere.
+  obs::MetricsRegistry own_metrics_;
+  obs::Counter* messages_delivered_;
+  obs::Counter* timers_fired_;
+  obs::Counter* worker_jobs_;
 };
 
 }  // namespace bft::runtime

@@ -26,7 +26,8 @@ struct TcpClusterOptions {
   /// Transport tuning. The `metrics` field inside is ignored; set the
   /// cluster-level one below and both layers share it.
   TcpTransportOptions transport;
-  /// Optional observability registry (borrowed; must outlive the cluster).
+  /// Registry to export (borrowed; must outlive the cluster). Both layers
+  /// always record; null leaves them recording into registries of their own.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

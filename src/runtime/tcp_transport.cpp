@@ -144,11 +144,28 @@ void enable_nodelay(int fd) {
 
 }  // namespace
 
+TcpTransport::Instruments::Instruments(obs::MetricsRegistry& reg)
+    : bytes_in(reg.counter("transport.bytes_in", "frame bytes received")),
+      bytes_out(reg.counter("transport.bytes_out", "frame bytes written")),
+      frames_in(reg.counter("transport.frames_in", "frames received")),
+      frames_out(reg.counter("transport.frames_out", "frames written")),
+      reconnects(reg.counter("transport.reconnects",
+                             "successful redials after a lost connection")),
+      frame_errors(reg.counter("transport.frame_errors",
+                               "malformed handshakes/frames/spoofed senders")),
+      send_dropped(reg.counter("transport.send_dropped",
+                               "frames shed by full per-peer send queues")),
+      send_queue_depth(
+          reg.gauge("transport.send_queue_depth",
+                    "depth of the most recently used send queue")) {}
+
 TcpTransport::TcpTransport(Topology topology, std::vector<ProcessId> local_ids,
                            TcpTransportOptions options)
     : topology_(std::move(topology)),
       local_ids_(std::move(local_ids)),
-      options_(options) {
+      options_(options),
+      metrics_(options_.metrics),
+      m_(*metrics_) {
   if (local_ids_.empty()) {
     throw std::invalid_argument("TcpTransport: no local ids");
   }
@@ -170,36 +187,19 @@ TcpTransport::TcpTransport(Topology topology, std::vector<ProcessId> local_ids,
     if (address == local_address) continue;
     auto it = links_.find(address);
     if (it == links_.end()) {
-      auto link = std::make_unique<PeerLink>(options_.send_queue_capacity);
+      // The registry has no label support, so the peer address is composed
+      // into the drop counter's name (prefix "transport.send_dropped_to_",
+      // documented in OBSERVABILITY.md).
+      obs::Counter& dropped = metrics_->counter(
+          "transport.send_dropped_to_" + metric_suffix(entry.host, entry.port),
+          "frames shed by the send queue to " + address);
+      auto link =
+          std::make_unique<PeerLink>(options_.send_queue_capacity, dropped);
       link->host = entry.host;
       link->port = entry.port;
       it = links_.emplace(address, std::move(link)).first;
     }
     link_of_id_[entry.id] = it->second.get();
-  }
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    m_.bytes_in = &reg.counter("transport.bytes_in", "frame bytes received");
-    m_.bytes_out = &reg.counter("transport.bytes_out", "frame bytes written");
-    m_.frames_in = &reg.counter("transport.frames_in", "frames received");
-    m_.frames_out = &reg.counter("transport.frames_out", "frames written");
-    m_.reconnects = &reg.counter(
-        "transport.reconnects", "successful redials after a lost connection");
-    m_.frame_errors = &reg.counter(
-        "transport.frame_errors", "malformed handshakes/frames/spoofed senders");
-    m_.send_dropped = &reg.counter(
-        "transport.send_dropped", "frames shed by full per-peer send queues");
-    m_.send_queue_depth = &reg.gauge(
-        "transport.send_queue_depth", "depth of the most recently used send queue");
-    // Per-peer drop counters: the registry has no label support, so the peer
-    // address is composed into the name (prefix "transport.send_dropped_to_",
-    // documented in OBSERVABILITY.md).
-    for (auto& [address, link] : links_) {
-      link->dropped =
-          &reg.counter("transport.send_dropped_to_" +
-                           metric_suffix(link->host, link->port),
-                       "frames shed by the send queue to " + address);
-    }
   }
 }
 
@@ -288,7 +288,7 @@ bool TcpTransport::send(ProcessId from, ProcessId to, Payload frame) {
   if (!running_.load(std::memory_order_relaxed)) return false;
   if (frame.size() > options_.max_frame_bytes) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.send_dropped != nullptr) m_.send_dropped->add();
+    m_.send_dropped.add();
     return false;
   }
   const auto it = link_of_id_.find(to);
@@ -296,8 +296,8 @@ bool TcpTransport::send(ProcessId from, ProcessId to, Payload frame) {
   PeerLink& link = *it->second;
   if (!link.queue.try_push(OutFrame{from, to, std::move(frame)})) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.send_dropped != nullptr) m_.send_dropped->add();
-    if (link.dropped != nullptr) link.dropped->add();
+    m_.send_dropped.add();
+    link.dropped.add();
     const std::uint64_t epoch = link.epoch.load(std::memory_order_relaxed);
     if (link.drop_logged_epoch.exchange(epoch, std::memory_order_relaxed) !=
         epoch) {
@@ -308,9 +308,7 @@ bool TcpTransport::send(ProcessId from, ProcessId to, Payload frame) {
     }
     return false;
   }
-  if (m_.send_queue_depth != nullptr) {
-    m_.send_queue_depth->set(static_cast<std::int64_t>(link.queue.size()));
-  }
+  m_.send_queue_depth.set(static_cast<std::int64_t>(link.queue.size()));
   return true;
 }
 
@@ -372,7 +370,7 @@ int TcpTransport::dial(PeerLink& link) {
     }
     if (link.ever_connected.exchange(true)) {
       reconnects_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.reconnects != nullptr) m_.reconnects->add();
+      m_.reconnects.add();
     }
     link.epoch.fetch_add(1, std::memory_order_relaxed);
     link.fd.store(fd);
@@ -384,9 +382,7 @@ int TcpTransport::dial(PeerLink& link) {
 void TcpTransport::writer_loop(PeerLink& link) {
   while (auto item = link.queue.pop()) {
     OutFrame frame = std::move(*item);
-    if (m_.send_queue_depth != nullptr) {
-      m_.send_queue_depth->set(static_cast<std::int64_t>(link.queue.size()));
-    }
+    m_.send_queue_depth.set(static_cast<std::int64_t>(link.queue.size()));
     while (running_.load()) {
       int fd = link.fd.load();
       if (fd < 0) {
@@ -399,10 +395,8 @@ void TcpTransport::writer_loop(PeerLink& link) {
       put_u32(header + 8, frame.to);
       if (write_frame(fd, header, sizeof(header), frame.payload.view())) {
         frames_out_.fetch_add(1, std::memory_order_relaxed);
-        if (m_.frames_out != nullptr) m_.frames_out->add();
-        if (m_.bytes_out != nullptr) {
-          m_.bytes_out->add(sizeof(header) + frame.payload.size());
-        }
+        m_.frames_out.add();
+        m_.bytes_out.add(sizeof(header) + frame.payload.size());
         break;  // frame delivered to the kernel; next frame
       }
       // Broken pipe: drop the connection and retry this frame on a fresh one.
@@ -436,7 +430,7 @@ void TcpTransport::accept_loop() {
 
 void TcpTransport::note_frame_error() {
   frame_errors_.fetch_add(1, std::memory_order_relaxed);
-  if (m_.frame_errors != nullptr) m_.frame_errors->add();
+  m_.frame_errors.add();
 }
 
 void TcpTransport::reader_loop(int fd) {
@@ -483,10 +477,8 @@ void TcpTransport::reader_loop(int fd) {
       return;
     }
     frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.frames_in != nullptr) m_.frames_in->add();
-    if (m_.bytes_in != nullptr) {
-      m_.bytes_in->add(sizeof(header) + payload.size());
-    }
+    m_.frames_in.add();
+    m_.bytes_in.add(sizeof(header) + payload.size());
     deliver_(from, to, Payload(std::move(payload)));
   }
 }

@@ -61,7 +61,9 @@ struct TcpTransportOptions {
   /// Reconnect backoff: doubles from min to max per failed dial.
   Duration reconnect_backoff_min = msec(50);
   Duration reconnect_backoff_max = sec(2);
-  /// Optional observability registry (borrowed; must outlive the transport).
+  /// Registry to export (borrowed; must outlive the transport). The
+  /// transport always records its transport.* instruments; when null it
+  /// records into a registry of its own.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -108,11 +110,11 @@ class TcpTransport final : public Transport {
     /// per shed frame.
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<std::uint64_t> drop_logged_epoch{~0ull};
-    /// Per-peer drop counter ("transport.send_dropped_to_<host>_<port>");
-    /// null when no registry is wired.
-    obs::Counter* dropped = nullptr;
+    /// Per-peer drop counter ("transport.send_dropped_to_<host>_<port>").
+    obs::Counter& dropped;
 
-    explicit PeerLink(std::size_t capacity) : queue(capacity) {}
+    PeerLink(std::size_t capacity, obs::Counter& dropped_counter)
+        : queue(capacity), dropped(dropped_counter) {}
   };
 
   /// Reader-side state for one accepted connection.
@@ -162,17 +164,19 @@ class TcpTransport final : public Transport {
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> frames_out_{0};
 
-  struct MetricHandles {
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
-    obs::Counter* frames_in = nullptr;
-    obs::Counter* frames_out = nullptr;
-    obs::Counter* reconnects = nullptr;
-    obs::Counter* frame_errors = nullptr;
-    obs::Counter* send_dropped = nullptr;
-    obs::Gauge* send_queue_depth = nullptr;
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& reg);
+    obs::Counter& bytes_in;
+    obs::Counter& bytes_out;
+    obs::Counter& frames_in;
+    obs::Counter& frames_out;
+    obs::Counter& reconnects;
+    obs::Counter& frame_errors;
+    obs::Counter& send_dropped;
+    obs::Gauge& send_queue_depth;
   };
-  MetricHandles m_;
+  obs::RegistryOrOwned metrics_;
+  Instruments m_;
 };
 
 }  // namespace bft::runtime

@@ -21,7 +21,7 @@
 // seed; DESIGN.md §6c describes the scenario shapes and the
 // BFT_CHAOS_SEED / BFT_CHAOS_METRICS_DIR reproduction workflow. Fault
 // evaluation shares no state with the obs metrics layer, which is what keeps
-// an instrumented chaos run byte-identical to an uninstrumented one.
+// a chaos run that exports its metrics byte-identical to one that does not.
 #pragma once
 
 #include <algorithm>

@@ -82,10 +82,12 @@ struct ReplicaParams {
   /// stays undecided for this long forces a state transfer (recovers
   /// decisions whose ACCEPT quorum this replica missed).
   runtime::Duration stall_timeout = runtime::msec(1000);
-  /// Optional observability sinks (non-owning; must outlive the replica).
-  /// Null disables instrumentation entirely — the hot path only pays a
-  /// pointer test. Metric names are fixed (no per-node prefix), so wire these
-  /// into a single probe replica unless cross-node aggregation is wanted.
+  /// Observability sinks (non-owning; must outlive the replica). The replica
+  /// always records; `metrics` picks the registry that is exported, and when
+  /// null the replica records into one of its own that nobody reads. Metric
+  /// names are fixed (no per-node prefix), so export a single probe replica
+  /// unless cross-node aggregation is wanted. `trace` is optional: null
+  /// skips tracing, which decodes whole batches.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRing* trace = nullptr;
   /// Optional durable store (non-owning; must outlive the replica). When set,

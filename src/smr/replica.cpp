@@ -36,46 +36,44 @@ Replica::Replica(ProcessId self, ClusterConfig config, ReplicaParams params,
       app_(app),
       replier_(replier),
       authenticator_(self),
+      metrics_(params.metrics),
+      m_(*metrics_),
       trace_(params.trace),
-      transfer_(*this, params_),
+      transfer_(*this, params_, *metrics_),
       sync_(*this, transfer_, params_, authenticator_) {
   if (app_ == nullptr) throw std::invalid_argument("Replica: null state machine");
-  if (params_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *params_.metrics;
-    m_.requests_received =
-        &reg.counter("smr.requests_received", "requests admitted to the pool");
-    m_.batches_proposed =
-        &reg.counter("smr.batches_proposed", "PROPOSE batches sent as leader");
-    m_.batches_decided =
-        &reg.counter("smr.batches_decided", "consensus decisions observed");
-    m_.requests_executed = &reg.counter(
-        "smr.requests_executed", "requests run through the state machine");
-    m_.pushes_sent = &reg.counter(
-        "smr.pushes_sent", "custom-replier pushes (one per block per receiver)");
-    m_.regency_changes =
-        &reg.counter("smr.regency_changes", "synchronization-phase completions");
-    m_.pending_requests =
-        &reg.gauge("smr.pending_requests", "request-pool depth");
-    m_.batch_size =
-        &reg.histogram("smr.batch_size", "requests", "requests per proposal");
-    m_.proposal_holds = &reg.counter(
-        "smr.proposal_holds", "short proposals the leader held back");
-    m_.proposal_hold = &reg.histogram("smr.proposal_hold_ns", "ns",
-                                      "hold start to the held proposal");
-    m_.propose_to_write = &reg.histogram("smr.propose_to_write_quorum_ns", "ns",
-                                         "PROPOSE seen to WRITE quorum");
-    m_.write_to_decide = &reg.histogram("smr.write_quorum_to_decide_ns", "ns",
-                                        "WRITE quorum to decision");
-    m_.propose_to_decide = &reg.histogram("smr.propose_to_decide_ns", "ns",
-                                          "PROPOSE seen to decision");
-    instance_metrics_.write_votes =
-        &reg.counter("consensus.write_votes", "WRITE votes registered");
-    instance_metrics_.accept_votes =
-        &reg.counter("consensus.accept_votes", "ACCEPT votes registered");
-    instance_metrics_.duplicate_votes = &reg.counter(
-        "consensus.duplicate_votes", "re-votes dropped (first-vote-only rule)");
-  }
 }
+
+Replica::Instruments::Instruments(obs::MetricsRegistry& reg)
+    : requests_received(
+          reg.counter("smr.requests_received", "requests admitted to the pool")),
+      batches_proposed(
+          reg.counter("smr.batches_proposed", "PROPOSE batches sent as leader")),
+      batches_decided(
+          reg.counter("smr.batches_decided", "consensus decisions observed")),
+      requests_executed(reg.counter("smr.requests_executed",
+                                    "requests run through the state machine")),
+      pushes_sent(reg.counter(
+          "smr.pushes_sent", "custom-replier pushes (one per block per receiver)")),
+      regency_changes(reg.counter("smr.regency_changes",
+                                  "synchronization-phase completions")),
+      proposal_holds(reg.counter("smr.proposal_holds",
+                                 "short proposals the leader held back")),
+      pending_requests(reg.gauge("smr.pending_requests", "request-pool depth")),
+      batch_size(
+          reg.histogram("smr.batch_size", "requests", "requests per proposal")),
+      proposal_hold(reg.histogram("smr.proposal_hold_ns", "ns",
+                                  "hold start to the held proposal")),
+      propose_to_write(reg.histogram("smr.propose_to_write_quorum_ns", "ns",
+                                     "PROPOSE seen to WRITE quorum")),
+      write_to_decide(reg.histogram("smr.write_quorum_to_decide_ns", "ns",
+                                    "WRITE quorum to decision")),
+      propose_to_decide(reg.histogram("smr.propose_to_decide_ns", "ns",
+                                      "PROPOSE seen to decision")),
+      votes{reg.counter("consensus.write_votes", "WRITE votes registered"),
+            reg.counter("consensus.accept_votes", "ACCEPT votes registered"),
+            reg.counter("consensus.duplicate_votes",
+                        "re-votes dropped (first-vote-only rule)")} {}
 
 bool Replica::is_leader() const {
   return is_active_member() && config_.leader(regency_) == self_;
@@ -345,7 +343,7 @@ void Replica::handle_request(const Request& request, bool forwarded) {
     return;
   }
   if (!pool_.add(request)) return;
-  if (m_.requests_received != nullptr) m_.requests_received->add();
+  m_.requests_received.add();
   update_pending_gauge();
   arm_request_timer();
   maybe_propose();
@@ -363,10 +361,8 @@ void Replica::maybe_propose() {
   const Batch batch{pool_.take_batch(params_.batch_max)};
   end_hold();
   d.proposed_by_me = true;
-  if (m_.batches_proposed != nullptr) m_.batches_proposed->add();
-  if (m_.batch_size != nullptr) {
-    m_.batch_size->record(static_cast<std::int64_t>(batch.requests.size()));
-  }
+  m_.batches_proposed.add();
+  m_.batch_size.record(static_cast<std::int64_t>(batch.requests.size()));
 
   Bytes value = batch.encode();
   charge(kPerConsensusMsgCost +
@@ -383,16 +379,14 @@ bool Replica::hold_proposal(std::size_t ready) {
     // follower suspect the leader.
     hold_timer_ = env().set_timer(
         std::min(last_round_, params_.forward_timeout / 2));
-    if (m_.proposal_holds != nullptr) m_.proposal_holds->add();
+    m_.proposal_holds.add();
   }
   return hold_timer_ != 0;
 }
 
 void Replica::end_hold() {
   if (hold_since_ < 0) return;
-  if (m_.proposal_hold != nullptr) {
-    m_.proposal_hold->record(env().now() - hold_since_);
-  }
+  m_.proposal_hold.record(env().now() - hold_since_);
   if (hold_timer_ != 0) env().cancel_timer(hold_timer_);
   hold_timer_ = 0;
   hold_since_ = -1;
@@ -415,11 +409,8 @@ Replica::InstanceDriver& Replica::driver(ConsensusId cid) {
   if (it == instances_.end()) {
     it = instances_
              .emplace(std::piecewise_construct, std::forward_as_tuple(cid),
-                      std::forward_as_tuple(cid, &config_.quorums()))
+                      std::forward_as_tuple(cid, &config_.quorums(), m_.votes))
              .first;
-    if (params_.metrics != nullptr) {
-      it->second.instance.set_metrics(&instance_metrics_);
-    }
   }
   return it->second;
 }
@@ -508,8 +499,8 @@ void Replica::on_write_quorum(ConsensusId cid, Epoch epoch) {
   const auto hash = d.instance.write_quorum_hash(epoch);
   if (d.write_quorum_at < 0) {
     d.write_quorum_at = env().now();
-    if (m_.propose_to_write != nullptr && d.proposed_at >= 0) {
-      m_.propose_to_write->record(d.write_quorum_at - d.proposed_at);
+    if (d.proposed_at >= 0) {
+      m_.propose_to_write.record(d.write_quorum_at - d.proposed_at);
     }
     if (trace_ != nullptr) {
       const Bytes* value = d.instance.value_for(*hash);
@@ -548,13 +539,13 @@ void Replica::handle_accept(ProcessId from, const AcceptMsg& msg) {
 void Replica::on_decided(ConsensusId cid) {
   InstanceDriver& d = driver(cid);
   ++decided_count_;
-  if (m_.batches_decided != nullptr) m_.batches_decided->add();
+  m_.batches_decided.add();
   const runtime::TimePoint decided_at = env().now();
-  if (m_.propose_to_decide != nullptr && d.proposed_at >= 0) {
-    m_.propose_to_decide->record(decided_at - d.proposed_at);
+  if (d.proposed_at >= 0) {
+    m_.propose_to_decide.record(decided_at - d.proposed_at);
   }
-  if (m_.write_to_decide != nullptr && d.write_quorum_at >= 0) {
-    m_.write_to_decide->record(decided_at - d.write_quorum_at);
+  if (d.write_quorum_at >= 0) {
+    m_.write_to_decide.record(decided_at - d.write_quorum_at);
   }
   if (d.proposed_by_me && d.proposed_at >= pacing_since_) {
     last_round_ = decided_at - d.proposed_at;
@@ -740,7 +731,7 @@ void Replica::execute_batch(ConsensusId cid, ByteView value, bool tentative) {
       reply = app_->execute(request, ctx);
     }
     ++executed_count_;
-    if (m_.requests_executed != nullptr) m_.requests_executed->add();
+    m_.requests_executed.add();
     auto& cache = reply_cache_[request.client];
     cache[request.seq] = Reply{request.seq, cid, reply};
     while (cache.size() > kReplyCacheWindow) cache.erase(cache.begin());
@@ -944,7 +935,7 @@ void Replica::restore_core_snapshot(ByteView snapshot) {
 // --------------------------------------------------------------------------
 
 void Replica::install_regency(Epoch next) {
-  if (m_.regency_changes != nullptr) m_.regency_changes->add();
+  m_.regency_changes.add();
   regency_ = next;
   for (auto& [cid, d] : instances_) {
     if (!d.instance.decided() && cid > confirm_cursor_) d.proposed_by_me = false;
@@ -1036,16 +1027,14 @@ void Replica::adopt_state(StateReply state) {
 
 void Replica::push_to_receivers(ByteView payload) {
   const Payload encoded = Payload(encode_push(payload));
-  if (m_.pushes_sent != nullptr) {
-    m_.pushes_sent->add(receivers_.size());
-  }
+  m_.pushes_sent.add(receivers_.size());
   for (ProcessId receiver : receivers_) {
     env().send(receiver, encoded);
   }
 }
 
 void Replica::send_push(ProcessId to, ByteView payload) {
-  if (m_.pushes_sent != nullptr) m_.pushes_sent->add();
+  m_.pushes_sent.add();
   env().send(to, encode_push(payload));
 }
 
@@ -1082,9 +1071,7 @@ void Replica::trace_batch(obs::TraceStage stage, ConsensusId cid,
 }
 
 void Replica::update_pending_gauge() {
-  if (m_.pending_requests != nullptr) {
-    m_.pending_requests->set(static_cast<std::int64_t>(pool_.size()));
-  }
+  m_.pending_requests.set(static_cast<std::int64_t>(pool_.size()));
 }
 
 }  // namespace bft::smr

@@ -125,9 +125,9 @@ class Replica : public runtime::Actor {
 
  private:
   struct InstanceDriver {
-    explicit InstanceDriver(consensus::ConsensusId cid,
-                            const consensus::QuorumSystem* q)
-        : instance(cid, q) {}
+    InstanceDriver(consensus::ConsensusId cid, const consensus::QuorumSystem* q,
+                   const consensus::InstanceMetrics& votes)
+        : instance(cid, q, votes) {}
     consensus::Instance instance;
     std::set<consensus::Epoch> sent_write;
     std::set<consensus::Epoch> sent_accept;
@@ -283,26 +283,28 @@ class Replica : public runtime::Actor {
   // Timers owned by the application (see set_app_timer).
   std::set<std::uint64_t> app_timers_;
 
-  // Observability handles, resolved once at construction from
-  // params_.metrics (all null when no registry is wired — the hot path then
-  // pays a single pointer test per site). Catalogue: OBSERVABILITY.md.
-  struct MetricHandles {
-    obs::Counter* requests_received = nullptr;
-    obs::Counter* batches_proposed = nullptr;
-    obs::Counter* batches_decided = nullptr;
-    obs::Counter* requests_executed = nullptr;
-    obs::Counter* pushes_sent = nullptr;
-    obs::Counter* regency_changes = nullptr;
-    obs::Counter* proposal_holds = nullptr;
-    obs::Gauge* pending_requests = nullptr;
-    obs::LatencyHistogram* batch_size = nullptr;
-    obs::LatencyHistogram* proposal_hold = nullptr;
-    obs::LatencyHistogram* propose_to_write = nullptr;
-    obs::LatencyHistogram* write_to_decide = nullptr;
-    obs::LatencyHistogram* propose_to_decide = nullptr;
+  // Observability: instruments resolved once at construction from the
+  // registry in params_.metrics (the exported one) or, without one, from a
+  // registry the replica owns. Catalogue: OBSERVABILITY.md.
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry& reg);
+    obs::Counter& requests_received;
+    obs::Counter& batches_proposed;
+    obs::Counter& batches_decided;
+    obs::Counter& requests_executed;
+    obs::Counter& pushes_sent;
+    obs::Counter& regency_changes;
+    obs::Counter& proposal_holds;
+    obs::Gauge& pending_requests;
+    obs::LatencyHistogram& batch_size;
+    obs::LatencyHistogram& proposal_hold;
+    obs::LatencyHistogram& propose_to_write;
+    obs::LatencyHistogram& write_to_decide;
+    obs::LatencyHistogram& propose_to_decide;
+    consensus::InstanceMetrics votes;  // shared by all drivers
   };
-  MetricHandles m_;
-  consensus::InstanceMetrics instance_metrics_;  // shared by all drivers
+  obs::RegistryOrOwned metrics_;
+  Instruments m_;
   obs::TraceRing* trace_ = nullptr;
 
   // Declared last: both hold references to the members above.

@@ -118,17 +118,16 @@ Bytes ChunkReceiver::take(ProcessId from) {
   return full;
 }
 
-StateTransfer::StateTransfer(Replica& replica, const ReplicaParams& params)
-    : replica_(replica), params_(params) {
-  if (params.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *params.metrics;
-    transfers_ = &reg.counter("smr.state_transfers", "state transfers started");
-    chunks_sent_ = &reg.counter("smr.state_chunks_sent",
-                                "StateReply fragments streamed to peers");
-    chunks_received_ = &reg.counter("smr.state_chunks_received",
-                                    "StateReply fragments reassembled");
-  }
-}
+StateTransfer::StateTransfer(Replica& replica, const ReplicaParams& params,
+                             obs::MetricsRegistry& metrics)
+    : replica_(replica),
+      params_(params),
+      transfers_(
+          metrics.counter("smr.state_transfers", "state transfers started")),
+      chunks_sent_(metrics.counter("smr.state_chunks_sent",
+                                   "StateReply fragments streamed to peers")),
+      chunks_received_(metrics.counter("smr.state_chunks_received",
+                                       "StateReply fragments reassembled")) {}
 
 void StateTransfer::note_future_traffic(ConsensusId cid) {
   const ConsensusId confirmed = replica_.last_confirmed();
@@ -140,7 +139,7 @@ void StateTransfer::note_future_traffic(ConsensusId cid) {
 void StateTransfer::begin() {
   if (transferring_) return;
   transferring_ = true;
-  if (transfers_ != nullptr) transfers_->add();
+  transfers_.add();
   runtime::Env& env = replica_.runtime_env();
   for (ProcessId member : replica_.config().members()) {
     if (member != replica_.self_id()) {
@@ -180,7 +179,7 @@ void StateTransfer::send_reply(ProcessId to, const StateReply& reply) {
 
 void StateTransfer::send_chunk(ProcessId to, const StateChunk& chunk) {
   replica_.runtime_env().send(to, encode(chunk));
-  if (chunks_sent_ != nullptr) chunks_sent_->add();
+  chunks_sent_.add();
 }
 
 void StateTransfer::handle_chunk_ack(ProcessId from, const StateChunkAck& msg) {
@@ -197,9 +196,7 @@ void StateTransfer::handle_chunk(ProcessId from, const StateChunk& msg) {
   if (!collects_from(from)) return;
   const ChunkReceiver::Fragment fragment = chunks_in_.add(from, msg);
   if (fragment == ChunkReceiver::Fragment::rejected) return;
-  if (fragment != ChunkReceiver::Fragment::duplicate && chunks_received_) {
-    chunks_received_->add();
-  }
+  if (fragment != ChunkReceiver::Fragment::duplicate) chunks_received_.add();
   replica_.runtime_env().send(
       from, encode(StateChunkAck{msg.transfer_id, msg.index}));
   if (fragment != ChunkReceiver::Fragment::completed) return;

@@ -75,7 +75,8 @@ class ChunkReceiver {
 
 class StateTransfer {
  public:
-  StateTransfer(Replica& replica, const ReplicaParams& params);
+  StateTransfer(Replica& replica, const ReplicaParams& params,
+                obs::MetricsRegistry& metrics);
 
   bool in_progress() const { return transferring_; }
   /// Traffic for slot `cid` arms the stall detector (once): a confirmed
@@ -104,9 +105,9 @@ class StateTransfer {
 
   Replica& replica_;
   const ReplicaParams& params_;
-  obs::Counter* transfers_ = nullptr;
-  obs::Counter* chunks_sent_ = nullptr;
-  obs::Counter* chunks_received_ = nullptr;
+  obs::Counter& transfers_;
+  obs::Counter& chunks_sent_;
+  obs::Counter& chunks_received_;
 
   std::uint64_t stall_timer_ = 0;
   ConsensusId stall_anchor_ = 0;

@@ -92,7 +92,7 @@ MsgKind peek_kind(ByteView data) {
 }
 
 bool kind_known(MsgKind kind) {
-  return kind >= MsgKind::request && kind <= MsgKind::state_chunk_ack;
+  return kind >= MsgKind::request && kind <= kLastMsgKind;
 }
 
 const char* kind_name(MsgKind kind) {
@@ -104,7 +104,7 @@ const char* kind_name(MsgKind kind) {
       "value_request", "value_reply",   "register_receiver",
       "push",          "state_chunk",   "state_chunk_ack"};
   static_assert(std::size(kNames) ==
-                static_cast<std::size_t>(MsgKind::state_chunk_ack) + 1);
+                static_cast<std::size_t>(kLastMsgKind) + 1);
   return kNames[kind_known(kind) ? static_cast<std::size_t>(kind) : 0];
 }
 

@@ -38,6 +38,8 @@ enum class MsgKind : std::uint8_t {
   state_chunk = 16,        // replica -> lagging replica (streamed reply)
   state_chunk_ack = 17,    // lagging replica -> replica (flow control)
 };
+/// The highest kind; tags above it are free for protocols sharing the wire.
+constexpr MsgKind kLastMsgKind = MsgKind::state_chunk_ack;
 
 /// Reads the kind byte without consuming the message.
 MsgKind peek_kind(ByteView data);

@@ -52,8 +52,14 @@ Result<std::unique_ptr<CheckpointStore>> CheckpointStore::open(
     return Result<std::unique_ptr<CheckpointStore>>::failure(
         "checkpoint: cannot create " + directory + ": " + ec.message());
   }
-  return std::unique_ptr<CheckpointStore>(
+  std::unique_ptr<CheckpointStore> store(
       new CheckpointStore(std::move(directory)));
+  for (int slot = 0; slot < 2; ++slot) {
+    if (const auto cp = read_slot(store->slot_path(slot))) {
+      store->slot_cids_[slot] = cp->cid;
+    }
+  }
+  return store;
 }
 
 std::string CheckpointStore::slot_path(int slot) const {
@@ -74,14 +80,9 @@ std::vector<Checkpoint> CheckpointStore::load() const {
 Result<std::uint64_t> CheckpointStore::write(const Checkpoint& cp) {
   // Pick the victim slot: the one with the older checkpoint (invalid =
   // oldest). The other slot survives and bounds the retain floor.
-  std::optional<std::uint64_t> slot_cids[2];
-  for (int slot = 0; slot < 2; ++slot) {
-    const auto existing = read_slot(slot_path(slot));
-    if (existing.has_value()) slot_cids[slot] = existing->cid;
-  }
   const int victim =
-      slot_cids[1].value_or(0) < slot_cids[0].value_or(0) ? 1 : 0;
-  const std::optional<std::uint64_t> survivor = slot_cids[1 - victim];
+      slot_cids_[1].value_or(0) < slot_cids_[0].value_or(0) ? 1 : 0;
+  const std::optional<std::uint64_t> survivor = slot_cids_[1 - victim];
 
   Writer payload;
   payload.u64(cp.cid);
@@ -93,10 +94,13 @@ Result<std::uint64_t> CheckpointStore::write(const Checkpoint& cp) {
   append_frame(file, {payload.data()});
 
   // The WAL is pruned behind this checkpoint, so it must be durable first.
+  // Until it is, the victim slot holds nothing we can count on.
+  slot_cids_[victim].reset();
   const Status written = replace_file(slot_path(victim), file.data());
   if (!written.is_ok()) {
     return Result<std::uint64_t>::failure("checkpoint: " + written.error());
   }
+  slot_cids_[victim] = cp.cid;
   last_written_bytes_ = file.size();
   return survivor.has_value() ? std::min(*survivor, cp.cid) : cp.cid;
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,9 @@ struct Checkpoint {
 
 class CheckpointStore {
  public:
-  /// Opens (creating the directory if needed). Never fails on corrupt slot
-  /// contents — those surface as an empty load().
+  /// Opens (creating the directory if needed) and reads both slots once to
+  /// learn their cids. Never fails on corrupt slot contents — those count as
+  /// empty slots and surface as an empty load().
   static Result<std::unique_ptr<CheckpointStore>> open(std::string directory);
 
   /// All slots that parse and pass CRC, highest cid first (0..2 entries).
@@ -44,7 +46,8 @@ class CheckpointStore {
   /// Atomically persists `cp` into the slot holding the older checkpoint.
   /// Returns the retain floor: the lowest cid across the valid slots after
   /// the write. WAL segments entirely below it are no longer needed for
-  /// recovery.
+  /// recovery. Reads no file: the slot cids are the ones open() read, kept
+  /// current by every write (a failed write counts its slot as empty).
   Result<std::uint64_t> write(const Checkpoint& cp);
 
   /// Size of the last file written by this process (0 before any write).
@@ -56,6 +59,7 @@ class CheckpointStore {
   std::string slot_path(int slot) const;
 
   std::string directory_;
+  std::optional<std::uint64_t> slot_cids_[2];  // nullopt = empty or invalid
   std::uint64_t last_written_bytes_ = 0;
 };
 

@@ -8,7 +8,13 @@ namespace bft::storage {
 
 namespace fs = std::filesystem;
 
-NodeStore::NodeStore(StoreOptions options) : options_(std::move(options)) {}
+NodeStore::NodeStore(StoreOptions options)
+    : options_(std::move(options)),
+      metrics_(options_.metrics),
+      replayed_metric_(metrics_->counter(
+          "storage.replayed_blocks", "decisions replayed from disk at restart")),
+      checkpoint_bytes_(metrics_->counter(
+          "storage.checkpoint_bytes", "bytes written to checkpoint files")) {}
 
 Result<std::unique_ptr<NodeStore>> NodeStore::open(StoreOptions options) {
   using R = Result<std::unique_ptr<NodeStore>>;
@@ -44,20 +50,7 @@ Result<std::unique_ptr<NodeStore>> NodeStore::open(StoreOptions options) {
   wal_options.directory = options.directory + "/wal";
   wal_options.segment_bytes = options.wal_segment_bytes;
   wal_options.fsync = options.fsync;
-  if (options.metrics != nullptr) {
-    auto& m = *options.metrics;
-    wal_options.instruments.appends =
-        &m.counter("storage.wal_appends", "decisions appended to the WAL");
-    wal_options.instruments.fsync_ns = &m.histogram(
-        "storage.fsync_ns", "ns", "latency of WAL fsync calls");
-    wal_options.instruments.truncated_tail = &m.counter(
-        "storage.truncated_tail_bytes",
-        "bytes discarded truncating torn/corrupt WAL tails at open");
-    store->replayed_metric_ = &m.counter(
-        "storage.replayed_blocks", "decisions replayed from disk at restart");
-    store->checkpoint_bytes_ = &m.counter(
-        "storage.checkpoint_bytes", "bytes written to checkpoint files");
-  }
+  wal_options.metrics = store->metrics_.get();
 
   auto wal = WriteAheadLog::open(std::move(wal_options));
   if (!wal.ok()) return R::failure(wal.error());
@@ -77,9 +70,7 @@ Status NodeStore::append_decision(std::uint64_t cid, ByteView value) {
 Status NodeStore::write_checkpoint(const Checkpoint& cp) {
   const Result<std::uint64_t> floor = checkpoints_->write(cp);
   if (!floor.ok()) return Status::failure(floor.error());
-  if (checkpoint_bytes_ != nullptr) {
-    checkpoint_bytes_->add(checkpoints_->last_written_bytes());
-  }
+  checkpoint_bytes_.add(checkpoints_->last_written_bytes());
   // Everything below the older surviving slot is unreachable by recovery.
   if (floor.value() > 0) wal_->prune_below(floor.value());
   return Status::ok();
@@ -90,7 +81,7 @@ std::uint64_t NodeStore::replay(
     const std::function<void(std::uint64_t cid, ByteView value)>& fn) {
   const std::uint64_t n = wal_->replay(after, fn);
   replayed_ += n;
-  if (replayed_metric_ != nullptr) replayed_metric_->add(n);
+  replayed_metric_.add(n);
   return n;
 }
 

@@ -26,7 +26,10 @@ struct StoreOptions {
   std::uint32_t node_id = 0;   // stamped into NODE; mismatch refuses to open
   std::size_t wal_segment_bytes = 8u << 20;
   FsyncPolicy fsync = FsyncPolicy::group;
-  obs::MetricsRegistry* metrics = nullptr;  // optional storage.* instruments
+  /// Registry to export (borrowed; must outlive the store). The store and
+  /// its WAL always record their storage.* instruments; when null, into a
+  /// registry of the store's own.
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Owns the durable state of one replica process. All methods delegate to the
@@ -53,7 +56,8 @@ class NodeStore {
       const std::function<void(std::uint64_t cid, ByteView value)>& fn);
 
   /// Force-fsync outstanding WAL writes (used before orderly shutdown).
-  void flush() { wal_->flush(); }
+  /// Returns the WAL's first fsync failure, if any.
+  Status flush() { return wal_->flush(); }
 
   /// Startup recovery runs on the replica's own event loop; the hosting
   /// process sets/reads this to know when the replay counters are final
@@ -77,13 +81,13 @@ class NodeStore {
   explicit NodeStore(StoreOptions options);
 
   StoreOptions options_;
+  obs::RegistryOrOwned metrics_;  // shared with the WAL
+  obs::Counter& replayed_metric_;   // storage.replayed_blocks
+  obs::Counter& checkpoint_bytes_;  // storage.checkpoint_bytes
   std::unique_ptr<WriteAheadLog> wal_;
   std::unique_ptr<CheckpointStore> checkpoints_;
   std::uint64_t replayed_ = 0;
   std::atomic<bool> recovery_complete_{false};
-
-  obs::Counter* replayed_metric_ = nullptr;    // storage.replayed_blocks
-  obs::Counter* checkpoint_bytes_ = nullptr;   // storage.checkpoint_bytes
 };
 
 }  // namespace bft::storage

@@ -89,7 +89,15 @@ const char* fsync_policy_name(FsyncPolicy policy) {
 }
 
 WriteAheadLog::WriteAheadLog(WalOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      metrics_(options_.metrics),
+      appends_metric_(metrics_->counter("storage.wal_appends",
+                                        "decisions appended to the WAL")),
+      fsync_ns_(metrics_->histogram("storage.fsync_ns", "ns",
+                                    "latency of WAL fsync calls")),
+      truncated_tail_metric_(metrics_->counter(
+          "storage.truncated_tail_bytes",
+          "bytes discarded truncating torn/corrupt WAL tails at open")) {}
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::open(WalOptions options) {
   std::error_code ec;
@@ -109,10 +117,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::open(WalOptions options) {
   if (!scanned.is_ok()) {
     return Result<std::unique_ptr<WriteAheadLog>>::failure(scanned.error());
   }
-  if (wal->options_.instruments.truncated_tail != nullptr &&
-      wal->truncated_bytes_ > 0) {
-    wal->options_.instruments.truncated_tail->add(wal->truncated_bytes_);
-  }
+  wal->truncated_tail_metric_.add(wal->truncated_bytes_);
   if (wal->options_.fsync == FsyncPolicy::group) {
     wal->flusher_ = std::thread([w = wal.get()] { w->flusher_main(); });
   }
@@ -210,22 +215,38 @@ bool WriteAheadLog::scan_segment(Segment& segment, std::uint64_t prev_cid) {
 
 Status WriteAheadLog::open_active_segment(std::uint64_t first_cid) {
   if (active_fd_ >= 0) {
-    if (dirty_ && options_.fsync != FsyncPolicy::off) fsync_active_locked();
+    if (dirty_ && options_.fsync != FsyncPolicy::off) {
+      const Status synced = fsync_active_locked();
+      if (!synced.is_ok()) return synced;
+    }
     ::close(active_fd_);
     active_fd_ = -1;
   }
   Segment segment;
   segment.path = options_.directory + "/" + segment_name(first_cid);
-  active_fd_ = ::open(segment.path.c_str(),
-                      O_CREAT | O_EXCL | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (active_fd_ < 0) {
+  const int fd = ::open(segment.path.c_str(),
+                        O_CREAT | O_EXCL | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) {
     return Status::failure("wal: cannot create " + segment.path + ": " +
                            std::strerror(errno));
   }
-  const Status header = write_all(active_fd_, kMagic);
-  if (!header.is_ok()) return Status::failure("wal: " + header.error());
+  // Until it is adopted below, a failure leaves no half-made segment behind,
+  // so a later append can create it again.
+  auto abandon = [&](Status status) {
+    ::close(fd);
+    std::error_code ec;
+    fs::remove(segment.path, ec);
+    return status;
+  };
+  const Status header = write_all(fd, kMagic);
+  if (!header.is_ok()) return abandon(Status::failure("wal: " + header.error()));
   // Make the new segment name durable before any record relies on it.
-  if (options_.fsync != FsyncPolicy::off && dir_fd_ >= 0) ::fsync(dir_fd_);
+  if (options_.fsync != FsyncPolicy::off && ::fsync(dir_fd_) != 0) {
+    const int sync_errno = errno;
+    return abandon(fsync_failed_locked(
+        "fsync of directory " + options_.directory, sync_errno));
+  }
+  active_fd_ = fd;
   segment.size_bytes = kMagic.size();
   segments_.push_back(std::move(segment));
   return Status::ok();
@@ -233,6 +254,7 @@ Status WriteAheadLog::open_active_segment(std::uint64_t first_cid) {
 
 Status WriteAheadLog::append(std::uint64_t cid, ByteView value) {
   std::unique_lock<std::mutex> lock(mu_);
+  if (!fsync_error_.is_ok()) return fsync_error_;
   if (cid <= tail_cid_) return Status::ok();  // idempotent re-persist
 
   if (active_fd_ < 0 ||
@@ -255,14 +277,11 @@ Status WriteAheadLog::append(std::uint64_t cid, ByteView value) {
   active.last_cid = cid;
   tail_cid_ = cid;
   ++appended_;
-  if (options_.instruments.appends != nullptr) {
-    options_.instruments.appends->add();
-  }
+  appends_metric_.add();
 
   switch (options_.fsync) {
     case FsyncPolicy::always:
-      fsync_active_locked();
-      break;
+      return fsync_active_locked();
     case FsyncPolicy::group:
       dirty_ = true;
       break;
@@ -272,22 +291,34 @@ Status WriteAheadLog::append(std::uint64_t cid, ByteView value) {
   return Status::ok();
 }
 
-void WriteAheadLog::fsync_active_locked() {
-  if (active_fd_ < 0) return;
+Status WriteAheadLog::fsync_active_locked() {
+  if (active_fd_ < 0) return fsync_error_;
   const auto start = std::chrono::steady_clock::now();
-  ::fsync(active_fd_);
+  const bool synced = ::fsync(active_fd_) == 0;
+  const int sync_errno = errno;
+  fsync_ns_.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
   dirty_ = false;
-  if (options_.instruments.fsync_ns != nullptr) {
-    options_.instruments.fsync_ns->record(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+  if (!synced) {
+    return fsync_failed_locked("fsync of " + segments_.back().path, sync_errno);
   }
+  return fsync_error_;
 }
 
-void WriteAheadLog::flush() {
+Status WriteAheadLog::fsync_failed_locked(const std::string& what, int error) {
+  if (fsync_error_.is_ok()) {
+    fsync_error_ = Status::failure("wal: " + what + ": " + std::strerror(error));
+    BFT_LOG(error) << fsync_error_.error()
+                   << "; the log refuses further appends";
+  }
+  return fsync_error_;
+}
+
+Status WriteAheadLog::flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (dirty_ && options_.fsync != FsyncPolicy::off) fsync_active_locked();
+  if (dirty_ && options_.fsync != FsyncPolicy::off) return fsync_active_locked();
+  return fsync_error_;
 }
 
 void WriteAheadLog::flusher_main() {
@@ -304,18 +335,17 @@ void WriteAheadLog::flusher_main() {
     dirty_ = false;
     lock.unlock();
     const auto start = std::chrono::steady_clock::now();
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-    const std::int64_t elapsed =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (options_.instruments.fsync_ns != nullptr) {
-      options_.instruments.fsync_ns->record(elapsed);
-    }
+    // A failed dup is a failed sync too: the window's appends are not durable.
+    const bool synced = fd >= 0 && ::fsync(fd) == 0;
+    const int sync_errno = errno;
+    if (fd >= 0) ::close(fd);
+    fsync_ns_.record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
     lock.lock();
+    if (!synced) {
+      fsync_failed_locked("group fsync in " + options_.directory, sync_errno);
+    }
   }
 }
 

@@ -49,19 +49,14 @@ enum class FsyncPolicy : std::uint8_t { always = 0, group = 1, off = 2 };
 Result<FsyncPolicy> parse_fsync_policy(const std::string& name);
 const char* fsync_policy_name(FsyncPolicy policy);
 
-/// Pre-resolved instrument handles (all optional). The owning NodeStore
-/// registers the storage.* names; the WAL only bumps them.
-struct WalInstruments {
-  obs::Counter* appends = nullptr;            // storage.wal_appends
-  obs::LatencyHistogram* fsync_ns = nullptr;  // storage.fsync_ns
-  obs::Counter* truncated_tail = nullptr;     // storage.truncated_tail_bytes
-};
-
 struct WalOptions {
   std::string directory;               // created if missing
   std::size_t segment_bytes = 8u << 20;  // rotate past this size
   FsyncPolicy fsync = FsyncPolicy::group;
-  WalInstruments instruments;
+  /// Registry to export (borrowed; must outlive the log). The log always
+  /// records storage.wal_appends, storage.fsync_ns and
+  /// storage.truncated_tail_bytes; when null, into a registry of its own.
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class WriteAheadLog {
@@ -78,7 +73,14 @@ class WriteAheadLog {
 
   /// Appends one decision. Records must arrive in increasing cid order;
   /// appends at or below the current tail cid are skipped (idempotent
-  /// re-persist after a state transfer). Fails only on I/O errors.
+  /// re-persist after a state transfer). Fails only on I/O errors. Under
+  /// `always` it fails when the record's fsync does.
+  ///
+  /// A failed fsync is final: the kernel may already have dropped the dirty
+  /// pages it could not write, so nothing appended before it can be called
+  /// durable again. The log keeps the first such failure (from an append,
+  /// the group flusher, a rotation or a segment's directory entry) and every
+  /// later append and flush returns it.
   Status append(std::uint64_t cid, ByteView value);
 
   /// Invokes `fn` for every record with cid > `after` that is contiguous
@@ -88,8 +90,9 @@ class WriteAheadLog {
       std::uint64_t after,
       const std::function<void(std::uint64_t cid, ByteView value)>& fn) const;
 
-  /// fsync now if anything is unsynced (no-op under `off`).
-  void flush();
+  /// fsync now if anything is unsynced (no-op under `off`). Returns the
+  /// log's first fsync failure, if any.
+  Status flush();
 
   /// Deletes whole segments whose records all have cid < `cid`. The active
   /// segment is never pruned.
@@ -118,10 +121,17 @@ class WriteAheadLog {
   /// Returns false if the segment is unusable (bad header) — caller deletes.
   bool scan_segment(Segment& segment, std::uint64_t prev_cid);
   Status open_active_segment(std::uint64_t first_cid);
-  void fsync_active_locked();
+  /// fsyncs the active segment; returns the log's first fsync failure.
+  Status fsync_active_locked();
+  /// Keeps the first fsync failure (see append) and returns it.
+  Status fsync_failed_locked(const std::string& what, int error);
   void flusher_main();
 
   WalOptions options_;
+  obs::RegistryOrOwned metrics_;
+  obs::Counter& appends_metric_;         // storage.wal_appends
+  obs::LatencyHistogram& fsync_ns_;      // storage.fsync_ns
+  obs::Counter& truncated_tail_metric_;  // storage.truncated_tail_bytes
   mutable std::mutex mu_;
   std::vector<Segment> segments_;
   int active_fd_ = -1;
@@ -130,6 +140,7 @@ class WriteAheadLog {
   std::uint64_t appended_ = 0;
   std::uint64_t truncated_bytes_ = 0;
   bool dirty_ = false;
+  Status fsync_error_;  // first fsync failure; ok until one happens
 
   // Group-commit flusher.
   std::thread flusher_;

@@ -2,6 +2,7 @@
 // frontends' client threads, node inboxes and replier fan-out.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -23,6 +24,7 @@ class BlockingQueue {
     });
     if (closed_) return false;
     items_.push_back(std::move(value));
+    size_.store(items_.size(), std::memory_order_relaxed);
     not_empty_.notify_one();
     return true;
   }
@@ -32,6 +34,7 @@ class BlockingQueue {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_ || (capacity_ != 0 && items_.size() >= capacity_)) return false;
     items_.push_back(std::move(value));
+    size_.store(items_.size(), std::memory_order_relaxed);
     not_empty_.notify_one();
     return true;
   }
@@ -43,6 +46,7 @@ class BlockingQueue {
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
+    size_.store(items_.size(), std::memory_order_relaxed);
     not_full_.notify_one();
     return value;
   }
@@ -53,6 +57,7 @@ class BlockingQueue {
     if (items_.empty()) return std::nullopt;
     T value = std::move(items_.front());
     items_.pop_front();
+    size_.store(items_.size(), std::memory_order_relaxed);
     not_full_.notify_one();
     return value;
   }
@@ -65,16 +70,16 @@ class BlockingQueue {
     not_full_.notify_all();
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
+  /// Takes no lock, so depth gauges can sample it on every push and pop;
+  /// while other threads push or pop it may trail them by a few items.
+  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
+  std::atomic<std::size_t> size_{0};  // items_.size(), published for size()
   std::size_t capacity_;
   bool closed_ = false;
 };

@@ -2,6 +2,8 @@
 // report) and the headline orderings the paper's figures rely on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness.hpp"
 
 namespace bft::bench {
@@ -106,6 +108,40 @@ TEST(HarnessTest, LanMetricsExportDoesNotPerturbResults) {
         "\"sign_to_push\"", "\"push_to_frontend_accept\"",
         "\"submit_to_propose\""}) {
     EXPECT_NE(a.metrics_json.find(needle), std::string::npos) << needle;
+  }
+}
+
+TEST(HarnessTest, LanMetricsExportHoldsEveryProbeInstrument) {
+  // The probe replica, its ordering node, the frontends and the sim cluster
+  // record into the exported registry, never into registries of their own.
+  LanConfig config;
+  config.orderers = 4;
+  config.block_size = 10;
+  config.receivers = 1;
+  config.warmup_s = 0.05;
+  config.measure_s = 0.1;
+  config.collect_metrics = true;
+  const LanResult result = run_lan_throughput(config);
+  for (const char* name :
+       {"smr.requests_received", "smr.batches_proposed", "smr.batches_decided",
+        "smr.requests_executed", "smr.pushes_sent", "smr.regency_changes",
+        "smr.state_transfers", "smr.state_chunks_sent",
+        "smr.state_chunks_received", "smr.pending_requests", "smr.batch_size",
+        "smr.proposal_holds", "smr.proposal_hold_ns",
+        "smr.propose_to_write_quorum_ns", "smr.write_quorum_to_decide_ns",
+        "smr.propose_to_decide_ns", "consensus.write_votes",
+        "consensus.accept_votes", "consensus.duplicate_votes",
+        "ordering.envelopes_ordered", "ordering.blocks_cut",
+        "ordering.blocks_signed", "ordering.cut_markers",
+        "ordering.pending_envelopes", "ordering.block_fill", "ordering.sign_ns",
+        "frontend.submitted", "frontend.pushes_received",
+        "frontend.delivered_blocks", "frontend.delivered_envelopes",
+        "frontend.submit_to_deliver_ns", "sim.messages_delivered",
+        "sim.timers_fired", "sim.worker_jobs", "sim.executed_events",
+        "sim.now_ns", "sim.protocol_utilization_ppm"}) {
+    EXPECT_NE(result.metrics_json.find('"' + std::string(name) + '"'),
+              std::string::npos)
+        << name;
   }
 }
 

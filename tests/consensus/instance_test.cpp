@@ -7,13 +7,18 @@ namespace {
 
 class InstanceTest : public ::testing::Test {
  protected:
-  InstanceTest() : quorums_(QuorumSystem::classic(4)), inst_(1, &quorums_) {}
+  InstanceTest()
+      : quorums_(QuorumSystem::classic(4)), inst_(1, &quorums_, metrics_) {}
 
   ValueHash add(const std::string& value) {
     return inst_.add_value(to_bytes(value));
   }
 
   QuorumSystem quorums_;
+  obs::Counter write_votes_;
+  obs::Counter accept_votes_;
+  obs::Counter duplicate_votes_;
+  InstanceMetrics metrics_{write_votes_, accept_votes_, duplicate_votes_};
   Instance inst_;
 };
 
@@ -64,6 +69,8 @@ TEST_F(InstanceTest, DuplicateWritesDoNotCount) {
   EXPECT_FALSE(inst_.on_write(0, 0, h, {}));
   EXPECT_FALSE(inst_.on_write(0, 0, h, {}));
   EXPECT_FALSE(inst_.write_quorum_hash(0).has_value());
+  EXPECT_EQ(write_votes_.value(), 1u);
+  EXPECT_EQ(duplicate_votes_.value(), 2u);
 }
 
 TEST_F(InstanceTest, EquivocatingWriterCountsOnlyFirstVote) {
@@ -134,7 +141,7 @@ TEST_F(InstanceTest, HighestEpochTracksTraffic) {
 
 TEST_F(InstanceTest, WeightedQuorumWithWheat) {
   const QuorumSystem wheat = QuorumSystem::wheat(5, 1, {0, 1});
-  Instance inst(9, &wheat);
+  Instance inst(9, &wheat, metrics_);
   const ValueHash h = inst.add_value(to_bytes("v"));
   // Vmax(2) + Vmax(2) = 4 < 5: no quorum yet.
   EXPECT_FALSE(inst.on_write(0, 0, h, {}));

@@ -18,13 +18,6 @@ Bytes numbered(std::string prefix, int i) {
   return to_bytes(prefix);
 }
 
-TEST(ChannelEnvelopeTest, RoundTrip) {
-  const ChannelEnvelope ce{"orders", to_bytes("payload")};
-  const ChannelEnvelope back = ChannelEnvelope::decode(ce.encode());
-  EXPECT_EQ(back.channel, "orders");
-  EXPECT_EQ(back.envelope, to_bytes("payload"));
-}
-
 TEST(OrderedPayloadTest, RoundTripBothKinds) {
   OrderedPayload env;
   env.channel = "ch";

@@ -144,7 +144,7 @@ ScenarioResult run_scenario(std::uint64_t seed) {
 
   runtime::SimCluster cluster(
       sim::make_lan(110, kMillisecond / 10, sim::NetworkConfig{}, seed), seed);
-  cluster.set_metrics(&registry);
+  cluster.set_metrics(registry);
 
   std::unique_ptr<smr::ByzantineReplica> byz;
   if (kind == ScenarioKind::equivocating_leader ||

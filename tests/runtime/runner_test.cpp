@@ -107,13 +107,13 @@ TEST(WorkerPoolRunnerTest, OrderSurvivesRandomCompletionTiming) {
 }
 
 // A throwing prologue consumes its slot as a no-op; successors still release,
-// in order, and the exception is counted when metrics are wired.
+// in order, and the exception is counted in the registry the runner is given.
 TEST(WorkerPoolRunnerTest, ThrowingPrologueDoesNotStallTheSequence) {
   obs::MetricsRegistry registry;
   OrderSink sink;
   WorkerPoolRunnerOptions options;
   options.workers = 2;
-  options.metrics = RunnerMetrics::registered(registry);
+  options.metrics = &registry;
   WorkerPoolRunner runner(options, sink.fn());
 
   runner.submit([&sink]() -> Epilogue {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 
 #include "runtime/real_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
@@ -345,6 +347,39 @@ TEST(RealRuntimeTest, PingPongFifoOrder) {
     EXPECT_EQ(pinger.replies()[static_cast<std::size_t>(i)],
               "pong:" + std::to_string(i));
   }
+}
+
+TEST(RealRuntimeTest, GivenRegistryHoldsEveryClusterAndRunnerInstrument) {
+  // The cluster and the runners it hosts record into the registry it is
+  // given, never into registries of their own.
+  obs::MetricsRegistry registry;
+  RealClusterOptions options;
+  options.metrics = &registry;
+  RealCluster cluster(options);
+  Pinger pinger(1, 5);
+  Ponger ponger;
+  cluster.add_process(0, &pinger, 2);
+  cluster.add_process(1, &ponger, 2);
+  cluster.start();
+  const auto replies = [&] {
+    return read_on_loop(cluster, 0, [&] { return pinger.replies().size(); });
+  };
+  for (int attempt = 0; attempt < 200 && replies() < 5; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  cluster.stop();
+  ASSERT_EQ(pinger.replies().size(), 5u);
+  std::set<std::string> names;
+  for (const auto& entry : registry.entries()) names.insert(entry.name);
+  for (const char* name :
+       {"runtime.inbox_depth", "runtime.inbox_dropped", "runner.queue_depth",
+        "runner.workers", "runner.prologues", "runner.prologue_exceptions",
+        "runner.worker_busy_ns", "runner.prologue_ns",
+        "runner.reorder_wait_ns"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+  // Five pings and five pongs went through the two staged runners.
+  EXPECT_EQ(registry.counter("runner.prologues").value(), 10u);
 }
 
 TEST(RealRuntimeTest, TimersFireAndCancel) {

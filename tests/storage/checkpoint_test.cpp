@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -137,11 +138,14 @@ TEST_F(CheckpointTest, EmptyAndGarbageSlotsAreRejected) {
 }
 
 TEST_F(CheckpointTest, RewriteAfterCorruptionReplacesBadSlot) {
-  auto store = CheckpointStore::open(dir_.string()).take();
-  ASSERT_TRUE(store->write(make(10)).ok());
-  ASSERT_TRUE(store->write(make(20)).ok());
-  // Corrupt one slot; the next write must target it (invalid counts as
-  // oldest), leaving the surviving checkpoint untouched.
+  {
+    auto store = CheckpointStore::open(dir_.string()).take();
+    ASSERT_TRUE(store->write(make(10)).ok());
+    ASSERT_TRUE(store->write(make(20)).ok());
+  }
+  // Corrupt one slot between runs. The store reads the slots at open, so
+  // the reopened store counts it as empty (invalid counts as oldest) and the
+  // next write must target it, leaving the surviving checkpoint untouched.
   for (const auto& entry : fs::directory_iterator(dir_)) {
     std::FILE* f = std::fopen(entry.path().c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -149,10 +153,33 @@ TEST_F(CheckpointTest, RewriteAfterCorruptionReplacesBadSlot) {
     std::fclose(f);
     break;
   }
+  auto store = CheckpointStore::open(dir_.string()).take();
   ASSERT_TRUE(store->write(make(30)).ok());
   const auto loaded = store->load();
-  ASSERT_GE(loaded.size(), 1u);
+  ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].cid, 30u);
+}
+
+TEST_F(CheckpointTest, ReopenedStoreReturnsTheSameFloors) {
+  // write() reads no file: it keeps the slot cids read at open. A store
+  // reopened before every write must choose the same victims and return the
+  // same retain floors as one store that wrote them all.
+  const std::uint64_t cids[] = {10, 20, 30, 40, 50};
+  std::vector<std::uint64_t> kept_open;
+  {
+    auto store = CheckpointStore::open(dir_.string()).take();
+    for (const std::uint64_t cid : cids) {
+      kept_open.push_back(store->write(make(cid)).value());
+    }
+  }
+  fs::remove_all(dir_);
+  std::vector<std::uint64_t> reopened;
+  for (const std::uint64_t cid : cids) {
+    auto store = CheckpointStore::open(dir_.string()).take();
+    reopened.push_back(store->write(make(cid)).value());
+  }
+  EXPECT_EQ(kept_open, reopened);
+  EXPECT_EQ(kept_open, (std::vector<std::uint64_t>{10, 10, 20, 30, 40}));
 }
 
 }  // namespace

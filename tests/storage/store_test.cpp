@@ -1,6 +1,8 @@
 #include "storage/store.hpp"
 
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +84,22 @@ TEST_F(NodeStoreTest, AppendReplayAndMetrics) {
   EXPECT_EQ(store->replayed_records(), 12u);
   EXPECT_EQ(metrics.counter("storage.replayed_blocks").value(), 12u);
   EXPECT_EQ(metrics.counter("storage.wal_appends").value(), 12u);
+}
+
+TEST_F(NodeStoreTest, GivenRegistryHoldsEveryStorageInstrument) {
+  // The store and its WAL record into the registry they are given, never
+  // into one of their own.
+  obs::MetricsRegistry metrics;
+  StoreOptions o = options();
+  o.metrics = &metrics;
+  auto store = NodeStore::open(std::move(o)).take();
+  std::set<std::string> names;
+  for (const auto& entry : metrics.entries()) names.insert(entry.name);
+  for (const char* name :
+       {"storage.wal_appends", "storage.fsync_ns", "storage.replayed_blocks",
+        "storage.truncated_tail_bytes", "storage.checkpoint_bytes"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
 }
 
 TEST_F(NodeStoreTest, CheckpointWritePrunesWalAndCountsBytes) {

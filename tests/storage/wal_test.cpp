@@ -256,7 +256,7 @@ TEST_F(WalTest, GroupCommitFlushAndReopen) {
     for (std::uint64_t cid = 1; cid <= 20; ++cid) {
       ASSERT_TRUE(wal->append(cid, value_for(cid)).is_ok());
     }
-    wal->flush();
+    ASSERT_TRUE(wal->flush().is_ok());
   }
   auto wal = WriteAheadLog::open(options(FsyncPolicy::group)).take();
   EXPECT_EQ(wal->tail_cid(), 20u);
@@ -266,8 +266,7 @@ TEST_F(WalTest, GroupCommitFlushAndReopen) {
 TEST_F(WalTest, AlwaysPolicyRecordsFsyncLatency) {
   obs::MetricsRegistry metrics;
   WalOptions o = options(FsyncPolicy::always);
-  o.instruments.appends = &metrics.counter("storage.wal_appends");
-  o.instruments.fsync_ns = &metrics.histogram("storage.fsync_ns");
+  o.metrics = &metrics;
   auto wal = WriteAheadLog::open(std::move(o)).take();
   for (std::uint64_t cid = 1; cid <= 5; ++cid) {
     ASSERT_TRUE(wal->append(cid, value_for(cid)).is_ok());
