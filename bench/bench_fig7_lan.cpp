@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < summary.size(); ++i) {
       const SummaryCell& c = summary[i];
       std::fprintf(out,
-                   "  {\"bench\": \"fig7_lan\", \"orderers\": %u, "
-                   "\"block_size\": %zu, \"workers\": %u, "
+                   "  {\"bench\": \"fig7_lan\", \"mode\": \"sim\", "
+                   "\"orderers\": %u, \"block_size\": %zu, \"workers\": %u, "
                    "\"envelope_bytes\": %llu, "
                    "\"receivers\": %llu, \"throughput_tps\": %.0f, "
                    "\"sign_bound_tps\": %.0f}%s\n",

@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
-                   "  {\"bench\": \"transport_loopback\", "
+                   "  {\"bench\": \"transport_loopback\", \"mode\": \"wall\", "
                    "\"payload_bytes\": %zu, \"workers\": %u, "
                    "\"sent_per_s\": %.0f, "
                    "\"delivered_per_s\": %.0f, \"goodput_mb_s\": %.2f, "

@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
-                   "  {\"bench\": \"wal_append\", \"fsync\": \"%s\", "
-                   "\"records\": %llu, \"payload_bytes\": %zu, "
+                   "  {\"bench\": \"wal_append\", \"mode\": \"wall\", "
+                   "\"fsync\": \"%s\", \"records\": %llu, \"payload_bytes\": %zu, "
                    "\"appends_per_s\": %.0f, \"mb_per_s\": %.2f, "
                    "\"wall_s\": %.4f}%s\n",
                    r.policy.c_str(),

@@ -118,6 +118,7 @@ Bytes OrderingNode::execute(const smr::Request& request,
     }
     auto full = state.cutter.add(std::move(payload.envelope));
     if (full.has_value()) {
+      cutting_by_size_ = true;
       emit_block(payload.channel, state, std::move(*full));
     } else if (!replica_->replaying_history()) {
       arm_batch_timer();
@@ -127,6 +128,7 @@ Bytes OrderingNode::execute(const smr::Request& request,
     // been cut yet (identical decision at every replica).
     if (payload.cut_block_number == state.next_block_number &&
         state.cutter.pending_count() > 0) {
+      cutting_by_size_ = false;
       emit_block(payload.channel, state, state.cutter.cut());
     }
   }
@@ -280,9 +282,10 @@ void OrderingNode::send_cut_markers() {
   // The marker travels through consensus like any request, so all replicas
   // cut at the same stream position. Duplicate/stale markers are no-ops.
   bool any_pending = false;
-  for (const auto& [name, state] : channels_) {
+  for (auto& [name, state] : channels_) {
     if (state.cutter.pending_count() == 0) continue;
     any_pending = true;
+    state.cut_requested_for = state.next_block_number;
     OrderedPayload marker;
     marker.kind = OrderedPayload::Kind::time_to_cut;
     marker.channel = name;
@@ -319,9 +322,11 @@ std::size_t OrderingNode::pending_total() const {
 }
 
 std::size_t OrderingNode::requests_to_next_output() const {
+  if (!cutting_by_size_) return 1;  // a held envelope would only wait
   std::size_t backlog = 0;
   for (const auto& [name, state] : channels_) {
     (void)name;
+    if (state.cut_requested_for == state.next_block_number) return 1;
     backlog = std::max(backlog, state.cutter.pending_count());
   }
   return options_.block_size - std::min(backlog, options_.block_size - 1);

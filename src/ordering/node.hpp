@@ -86,7 +86,10 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   Bytes snapshot() const override;
   void restore(ByteView snapshot) override;
   crypto::Hash256 integrity_digest() const override;
-  /// `block_size` minus the fullest cutter's backlog, at least 1.
+  /// While blocks are cut by size: `block_size` minus the fullest cutter's
+  /// backlog, at least 1. Otherwise 1 (never hold): before the first block
+  /// cut by size, after a block cut by the batch timeout, and while a block
+  /// this node sent a time-to-cut marker for is not cut yet.
   std::size_t requests_to_next_output() const override;
   void on_app_timer(std::uint64_t token) override;
   void on_recover() override;
@@ -132,6 +135,8 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
     // untraced. Every cut drains the whole pending set, which keeps this
     // aligned with the cutter.
     std::deque<std::pair<std::uint32_t, std::uint64_t>> trace_keys;
+    // Block our last time-to-cut marker targeted (0 = none); local.
+    std::uint64_t cut_requested_for = 0;
   };
   using TraceKeys = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
 
@@ -160,6 +165,8 @@ class OrderingNode final : public smr::StateMachine, public smr::Replier {
   // Batch-timeout machinery (local, not replicated).
   bool batch_timer_armed_ = false;
   std::uint64_t marker_seq_ = 0;
+  // The last block was cut by size, not by a marker.
+  bool cutting_by_size_ = false;
 
   // Observability: instruments resolved once at construction from
   // options_.metrics or a registry of our own. Catalogue: OBSERVABILITY.md.

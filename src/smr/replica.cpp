@@ -102,7 +102,7 @@ void Replica::on_recover() {
   request_timer_ = 0;
   forwarded_phase_ = false;
   hold_timer_ = 0;
-  reset_pacing();
+  drop_hold();
   app_timers_.clear();
   pool_.clear_inflight();  // batches in flight at the crash may be lost
   transfer_.on_recover();
@@ -276,7 +276,7 @@ void Replica::on_timer(std::uint64_t timer_id) {
     return;
   }
   if (timer_id == hold_timer_) {
-    hold_timer_ = 0;  // the hold has lasted one round: propose what we have
+    hold_timer_ = 0;  // the hold has lasted its cap: propose what we have
     maybe_propose();
     return;
   }
@@ -372,13 +372,12 @@ void Replica::maybe_propose() {
 }
 
 bool Replica::hold_proposal(std::size_t ready) {
-  if (last_round_ == 0 || ready >= app_->requests_to_next_output()) return false;
+  if (ready >= app_->requests_to_next_output()) return false;
   if (hold_since_ < 0) {
     hold_since_ = env().now();
-    // Half the request timeout at most, so a held request never makes a
-    // follower suspect the leader.
-    hold_timer_ = env().set_timer(
-        std::min(last_round_, params_.forward_timeout / 2));
+    // Half the request timeout, so a held request never makes a follower
+    // suspect the leader.
+    hold_timer_ = env().set_timer(params_.forward_timeout / 2);
     m_.proposal_holds.add();
   }
   return hold_timer_ != 0;
@@ -387,17 +386,13 @@ bool Replica::hold_proposal(std::size_t ready) {
 void Replica::end_hold() {
   if (hold_since_ < 0) return;
   m_.proposal_hold.record(env().now() - hold_since_);
-  if (hold_timer_ != 0) env().cancel_timer(hold_timer_);
-  hold_timer_ = 0;
-  hold_since_ = -1;
+  drop_hold();
 }
 
-void Replica::reset_pacing() {
+void Replica::drop_hold() {
   if (hold_timer_ != 0) env().cancel_timer(hold_timer_);
   hold_timer_ = 0;
   hold_since_ = -1;
-  last_round_ = 0;
-  pacing_since_ = env().now();
 }
 
 // --------------------------------------------------------------------------
@@ -546,9 +541,6 @@ void Replica::on_decided(ConsensusId cid) {
   }
   if (d.write_quorum_at >= 0) {
     m_.write_to_decide.record(decided_at - d.write_quorum_at);
-  }
-  if (d.proposed_by_me && d.proposed_at >= pacing_since_) {
-    last_round_ = decided_at - d.proposed_at;
   }
   const ValueHash& hash = d.instance.decided_hash();
   const Bytes* value = d.instance.value_for(hash);
@@ -942,7 +934,7 @@ void Replica::install_regency(Epoch next) {
   }
   pool_.clear_inflight();
   disarm_request_timer();
-  reset_pacing();
+  drop_hold();
 }
 
 const consensus::Instance* Replica::instance(ConsensusId cid) const {
@@ -977,7 +969,7 @@ void Replica::adopt_state(StateReply state) {
   snapshot_cid_ = state.snapshot_cid;
   checkpoint_snapshot_ = std::move(state.snapshot);
   rollback_snapshot_.reset();
-  reset_pacing();
+  drop_hold();
   tentative_hashes_.clear();
   pending_tentative_.clear();
   decided_awaiting_value_.clear();

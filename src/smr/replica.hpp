@@ -183,14 +183,14 @@ class Replica : public runtime::Actor {
   // -- proposal pacing (leader) --
   /// True while a proposal of `ready` requests waits for the requests that
   /// complete the application's next output. The first short proposal arms
-  /// the hold timer; the hold ends when enough requests arrive or after the
-  /// leader's last measured round, and never before one was measured.
+  /// the hold timer; the hold ends when enough requests arrive or after half
+  /// the request timeout.
   bool hold_proposal(std::size_t ready);
   /// Records and disarms the current hold, if any (a batch was proposed).
   void end_hold();
-  /// Forgets the measured round and any hold (leader change, crash, state
-  /// transfer): a new leader never holds before it measured a round.
-  void reset_pacing();
+  /// Disarms any hold without recording it (leader change, crash, state
+  /// transfer).
+  void drop_hold();
 
   // -- timers / misc --
   void arm_request_timer();
@@ -272,9 +272,7 @@ class Replica : public runtime::Actor {
   bool forwarded_phase_ = false;
 
   // Proposal pacing (leader only).
-  runtime::Duration last_round_ = 0;     // propose→decide of our last slot; 0 = none
-  runtime::TimePoint pacing_since_ = 0;  // slots proposed earlier are not measured
-  runtime::TimePoint hold_since_ = -1;   // -1 = no proposal held
+  runtime::TimePoint hold_since_ = -1;  // -1 = no proposal held
   std::uint64_t hold_timer_ = 0;
 
   // Custom-replier audience.

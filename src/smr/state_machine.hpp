@@ -53,8 +53,9 @@ class StateMachine {
   /// Number of further requests that complete the application's next unit
   /// of output (for the ordering service: the next block). The leader
   /// proposes at once when its proposable requests reach this count and
-  /// otherwise holds the proposal for at most one measured round. The
-  /// default, 1, never holds.
+  /// otherwise holds the proposal for up to half the request timeout, so
+  /// answer more than 1 only while the output waits for them. The default,
+  /// 1, never holds.
   virtual std::size_t requests_to_next_output() const { return 1; }
 
   /// Fired for timers the application armed via Replica::set_app_timer.

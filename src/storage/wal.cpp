@@ -37,9 +37,10 @@ std::string segment_name(std::uint64_t first_cid) {
 }
 
 /// Scans the records of a whole segment file `file` (magic already checked);
-/// calls `fn(cid, value)` for each valid one (fn may be empty). A torn,
-/// corrupt or non-monotonic frame ends the scan; `valid_end` is the offset
-/// just past the last valid frame.
+/// calls `fn(cid, value)` for each valid one (fn may be empty) and stops
+/// after a call that returns false. A torn, corrupt or non-monotonic frame
+/// also ends the scan; `valid_end` is the offset just past the last valid
+/// frame read.
 struct ScanResult {
   std::size_t valid_end = 0;
   std::uint64_t first_cid = 0;
@@ -48,7 +49,7 @@ struct ScanResult {
 
 ScanResult scan_frames(
     ByteView file, std::uint64_t prev_cid,
-    const std::function<void(std::uint64_t, ByteView)>& fn) {
+    const std::function<bool(std::uint64_t, ByteView)>& fn) {
   ScanResult result;
   Reader in(file);
   in.view(kMagic.size());
@@ -63,8 +64,8 @@ ScanResult scan_frames(
     last = cid;
     if (result.first_cid == 0) result.first_cid = cid;
     result.last_cid = cid;
-    if (fn) fn(cid, record.view(record.remaining()));
     result.valid_end = file.size() - in.remaining();
+    if (fn && !fn(cid, record.view(record.remaining()))) break;
   }
   return result;
 }
@@ -361,14 +362,15 @@ std::uint64_t WriteAheadLog::replay(
     if (!file || !has_magic(*file, kMagic)) break;
     bool stop = false;
     scan_frames(*file, 0, [&](std::uint64_t cid, ByteView value) {
-      if (stop || cid < next) return;
+      if (cid < next) return true;
       if (cid > next) {  // gap: the rest is unusable
         stop = true;
-        return;
+        return false;
       }
       fn(cid, value);
       ++next;
       ++emitted;
+      return true;
     });
     if (stop) break;
   }

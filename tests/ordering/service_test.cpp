@@ -6,6 +6,7 @@
 #include "ordering/deployment.hpp"
 #include "runtime/real_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
+#include "smr/wire.hpp"
 
 namespace bft::ordering {
 namespace {
@@ -243,103 +244,168 @@ TEST(OrderingServiceTest, DoubleSignModeStillDelivers) {
   EXPECT_EQ(s.ledgers[0]->height(), 1u);
 }
 
-// Proposal pacing: the leader holds a short proposal until its requests
-// complete the next block or one measured round has passed. Node 0 leads
-// regency 0 and carries the metrics.
+// Proposal pacing: while blocks are cut by size, the leader holds a short
+// proposal until its requests complete the next block, for at most half the
+// request timeout (150 ms here). Node 0 leads regency 0 and carries the
+// metrics; a filter counts the FORWARD and STOP messages between nodes, the
+// signs of a follower suspecting the leader.
 struct PacedService {
-  explicit PacedService(std::size_t block_size) : s(options(block_size, &metrics)) {}
+  explicit PacedService(runtime::Duration batch_timeout = 0)
+      : s(options(batch_timeout, &metrics)) {
+    s.cluster.set_filter(
+        [this](runtime::ProcessId from, runtime::ProcessId to, ByteView msg) {
+          if (from < 4 && to < 4 && !msg.empty()) {
+            const smr::MsgKind kind = smr::peek_kind(msg);
+            if (kind == smr::MsgKind::forward || kind == smr::MsgKind::stop) {
+              ++suspicions;
+            }
+          }
+          return sim::LinkVerdict{};
+        });
+  }
 
-  static ServiceOptions options(std::size_t block_size,
+  static ServiceOptions options(runtime::Duration batch_timeout,
                                 obs::MetricsRegistry* metrics) {
-    ServiceOptions o = basic_options(4, block_size);
+    ServiceOptions o = basic_options(4, 10);
+    o.batch_timeout = batch_timeout;
     o.metrics = metrics;
     return o;
+  }
+  /// Envelopes [first, first + count) at `at`, `spacing` apart.
+  void submit(int first, int count, sim::SimTime at,
+              sim::SimTime spacing = 0) {
+    for (int i = 0; i < count; ++i) {
+      s.submit_at(at + i * spacing, 0, envelope(first + i));
+    }
   }
   std::uint64_t holds() { return metrics.counter("smr.proposal_holds").value(); }
   obs::LatencyHistogram& hold_ns() {
     return metrics.histogram("smr.proposal_hold_ns", "ns");
   }
-  obs::LatencyHistogram& round_ns() {
-    return metrics.histogram("smr.propose_to_decide_ns", "ns");
+  obs::LatencyHistogram& batch_size() {
+    return metrics.histogram("smr.batch_size", "requests");
   }
+  std::uint64_t height() { return s.ledgers[0]->height(); }
   std::uint64_t ordered(std::size_t node) {
     return s.service.nodes.at(node).app->envelopes_ordered();
   }
 
   obs::MetricsRegistry metrics;
   SimService s;
+  int suspicions = 0;
 };
 
-TEST(OrderingServiceTest, BlockCompletingRequestIsProposedWithoutHold) {
-  PacedService p(10);
-  // Nine lone envelopes: the first is proposed at once (no round measured
-  // yet), the other eight are each held.
-  for (int i = 0; i < 9; ++i) {
-    p.s.submit_at(kMillisecond + i * 20 * kMillisecond, 0, envelope(i));
-  }
-  p.s.cluster.run_until(300 * kMillisecond);
-  ASSERT_EQ(p.s.service.nodes[0].app->pending_in("channel-0"), 9u);
-  EXPECT_EQ(p.holds(), 8u);
-  EXPECT_EQ(p.hold_ns().count(), 8u);  // every hold ended in a proposal
+constexpr sim::SimTime kHoldCap = 150 * kMillisecond;
 
-  // The tenth envelope completes the block: proposed with no hold.
-  p.s.submit_at(300 * kMillisecond, 0, envelope(9));
-  p.s.cluster.run_until(305 * kMillisecond);
-  EXPECT_EQ(p.holds(), 8u);
-  EXPECT_EQ(p.ordered(0), 10u);
-  p.s.cluster.run_until(kSecond);
-  EXPECT_EQ(p.s.ledgers[0]->height(), 1u);
-  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 10u);
-}
-
-TEST(OrderingServiceTest, LoneRequestIsProposedWithinOneMeasuredRound) {
-  PacedService p(10);
-  p.s.submit_at(kMillisecond, 0, envelope(0));
+TEST(OrderingServiceTest, BlockArrivingOverSeveralRoundsIsProposedAsOneBatch) {
+  PacedService p;
+  p.submit(0, 10, kMillisecond);
   p.s.cluster.run_until(100 * kMillisecond);
-  ASSERT_EQ(p.ordered(0), 1u);
-  ASSERT_EQ(p.round_ns().count(), 1u);
-  const std::int64_t round = p.round_ns().max();
-  EXPECT_EQ(p.holds(), 0u);  // no round measured before the first proposal
+  ASSERT_EQ(p.height(), 1u);
+  EXPECT_EQ(p.holds(), 0u);  // nothing is held before a block is cut by size
+  const std::uint64_t batches = p.batch_size().count();
+  const std::int64_t batched = p.batch_size().sum();
 
-  // A lone envelope far from completing a block waits one round at most.
-  p.s.submit_at(100 * kMillisecond, 0, envelope(1));
-  p.s.cluster.run_until(100 * kMillisecond + 3 * round + kMillisecond);
+  // The next block's envelopes arrive 5 ms apart, several rounds each: the
+  // leader holds the first until the tenth completes the block.
+  p.submit(10, 10, 100 * kMillisecond, 5 * kMillisecond);
+  p.s.cluster.run_until(300 * kMillisecond);
+  EXPECT_EQ(p.height(), 2u);
+  EXPECT_EQ(p.batch_size().count(), batches + 1);
+  EXPECT_EQ(p.batch_size().sum() - batched, 10);
   EXPECT_EQ(p.holds(), 1u);
   ASSERT_EQ(p.hold_ns().count(), 1u);
-  EXPECT_LE(p.hold_ns().max(), round);
-  EXPECT_EQ(p.ordered(0), 2u);
-  EXPECT_LT(3 * round + kMillisecond, 250 * kMillisecond);
+  EXPECT_GE(p.hold_ns().max(), 44 * kMillisecond);
+  EXPECT_LT(p.hold_ns().max(), kHoldCap);
+  EXPECT_EQ(p.suspicions, 0);
+}
+
+TEST(OrderingServiceTest, LoneEnvelopeAtLowLoadIsProposedWithoutHold) {
+  PacedService p(50 * kMillisecond);
+  // Before any block is cut by size, lone envelopes go out at once and the
+  // batch timeout cuts each block.
+  p.submit(0, 3, kMillisecond, 200 * kMillisecond);
+  p.s.cluster.run_until(600 * kMillisecond);
+  EXPECT_EQ(p.height(), 3u);
+  EXPECT_EQ(p.holds(), 0u);
+
+  // A burst is cut by size; when the load then drops, the leader holds the
+  // next short proposal once, until the cap.
+  p.submit(3, 10, 600 * kMillisecond);
+  p.submit(13, 3, 700 * kMillisecond);
+  p.s.cluster.run_until(1100 * kMillisecond);
+  EXPECT_EQ(p.height(), 5u);
+  EXPECT_EQ(p.holds(), 1u);
+
+  // The batch timeout cut that block, so lone envelopes go out at once
+  // again: each is delivered a batch timeout after it arrives.
+  for (int i = 0; i < 3; ++i) {
+    const sim::SimTime at = (1100 + i * 200) * kMillisecond;
+    p.submit(16 + i, 1, at);
+    p.s.cluster.run_until(at + 70 * kMillisecond);
+    EXPECT_EQ(p.height(), 6u + static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(p.holds(), 1u);
+  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 19u);
+  EXPECT_EQ(p.suspicions, 0);
+}
+
+TEST(OrderingServiceTest, TimeToCutMarkerIsNeverHeld) {
+  PacedService p(50 * kMillisecond);
+  p.submit(0, 10, kMillisecond);  // the first block, cut by size
+  p.submit(10, 3, 100 * kMillisecond);
+  // The three are held until the cap (about 250 ms), ordered, and the batch
+  // timeout fires 50 ms later. Blocks are still cut by size, yet the
+  // leader's own marker is proposed at once: held, it would wait until
+  // about 450 ms.
+  p.s.cluster.run_until(320 * kMillisecond);
+  EXPECT_EQ(p.height(), 2u);
+  EXPECT_EQ(p.holds(), 1u);
+  EXPECT_GE(p.metrics.counter("ordering.cut_markers").value(), 1u);
+  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 13u);
+}
+
+TEST(OrderingServiceTest, NoHoldOutlastsHalfTheRequestTimeout) {
+  // No batch timeout and one envelope every 40 ms: a block takes 400 ms to
+  // fill, so every hold ends at the cap, which stays short of the followers'
+  // 300 ms request timeout.
+  PacedService p;
+  p.submit(0, 10, kMillisecond);
+  p.submit(10, 50, 100 * kMillisecond, 40 * kMillisecond);
+  p.s.cluster.run_until(3 * kSecond);
+  EXPECT_EQ(p.height(), 6u);
+  EXPECT_GE(p.holds(), 5u);
+  EXPECT_EQ(p.hold_ns().count(), p.holds());
+  EXPECT_LE(p.hold_ns().max(), kHoldCap);
+  EXPECT_EQ(p.suspicions, 0);
+  for (std::size_t node = 0; node < 4; ++node) {
+    EXPECT_EQ(p.s.service.nodes[node].replica->regency(), 0u);
+  }
 }
 
 TEST(OrderingServiceTest, LeaderCrashDuringHoldDeliversEveryEnvelope) {
-  PacedService p(10);
-  p.s.submit_at(kMillisecond, 0, envelope(0));
-  p.s.submit_at(50 * kMillisecond, 0, envelope(1));
-  // Crash the leader while it holds envelope 1.
+  PacedService p;
+  p.submit(0, 10, kMillisecond);  // the first block, cut by size
+  p.submit(10, 1, 100 * kMillisecond);
+  // Crash the leader while it holds envelope 10.
   bool crashed_in_hold = false;
-  for (sim::SimTime t = 50 * kMillisecond; t < 52 * kMillisecond;
-       t += kMillisecond / 100) {
-    p.s.cluster.schedule_at(t, [&p, &crashed_in_hold] {
-      if (crashed_in_hold || p.holds() != 1) return;
-      crashed_in_hold = p.hold_ns().count() == 0;
-      p.s.cluster.crash(0);
-    });
-  }
-  p.s.cluster.run_until(100 * kMillisecond);
+  p.s.cluster.schedule_at(120 * kMillisecond, [&p, &crashed_in_hold] {
+    crashed_in_hold = p.holds() == 1 && p.hold_ns().count() == 0;
+    p.s.cluster.crash(0);
+  });
+  p.s.cluster.run_until(200 * kMillisecond);
   ASSERT_TRUE(crashed_in_hold);
-  EXPECT_EQ(p.ordered(1), 1u);  // envelope 1 was never proposed
+  EXPECT_EQ(p.ordered(1), 10u);  // envelope 10 was never proposed
 
-  // Followers forward, then elect node 1; the new leader orders envelope 1
+  // Followers forward, then elect node 1; the new leader orders envelope 10
   // and the rest of the block.
-  for (int i = 2; i < 10; ++i) {
-    p.s.submit_at(3 * kSecond + i * kMillisecond, 0, envelope(i));
-  }
+  p.submit(11, 9, 3 * kSecond, kMillisecond);
   p.s.cluster.run_until(8 * kSecond);
   EXPECT_GE(p.s.service.nodes[1].replica->regency(), 1u);
-  ASSERT_EQ(p.s.ledgers[0]->height(), 1u);
+  ASSERT_EQ(p.height(), 2u);
   EXPECT_TRUE(p.s.ledgers[0]->verify().is_ok());
-  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 10u);
-  for (std::size_t node = 1; node < 4; ++node) EXPECT_EQ(p.ordered(node), 10u);
+  EXPECT_EQ(p.s.frontends[0]->delivered_envelopes(), 20u);
+  for (std::size_t node = 1; node < 4; ++node) EXPECT_EQ(p.ordered(node), 20u);
 }
 
 TEST(OrderingServiceTest, RealRuntimeEndToEnd) {

@@ -220,17 +220,41 @@ TEST_F(WalTest, CorruptionInEarlierSegmentDropsLaterSegments) {
 }
 
 TEST_F(WalTest, ReplayStopsAtCidGap) {
-  auto wal = WriteAheadLog::open(options()).take();
+  auto open_small = [this] {
+    WalOptions o = options();
+    o.segment_bytes = 128;  // a few records per segment
+    return WriteAheadLog::open(std::move(o)).take();
+  };
+  auto wal = open_small();
   for (std::uint64_t cid = 1; cid <= 3; ++cid) {
     ASSERT_TRUE(wal->append(cid, value_for(cid)).is_ok());
   }
   // A state-transfer jump leaves a gap; the log accepts it but replay
-  // treats the gap as the end of the contiguous prefix.
-  ASSERT_TRUE(wal->append(10, value_for(10)).is_ok());
-  EXPECT_EQ(wal->tail_cid(), 10u);
-  EXPECT_EQ(wal->replay(0, [](std::uint64_t, ByteView) {}), 3u);
-  // From just before the gap the suffix is contiguous again.
-  EXPECT_EQ(wal->replay(9, [](std::uint64_t, ByteView) {}), 1u);
+  // treats the gap as the end of the contiguous prefix, also when later
+  // segments hold more records.
+  for (std::uint64_t cid = 10; cid <= 20; ++cid) {
+    ASSERT_TRUE(wal->append(cid, value_for(cid)).is_ok());
+  }
+  EXPECT_EQ(wal->tail_cid(), 20u);
+  ASSERT_GT(wal->segment_count(), 2u);
+  for (int restart = 0; restart < 2; ++restart) {
+    std::vector<std::uint64_t> seen;
+    const auto record = [&seen](std::uint64_t cid, ByteView value) {
+      EXPECT_EQ(Bytes(value.begin(), value.end()), value_for(cid));
+      seen.push_back(cid);
+    };
+    EXPECT_EQ(wal->replay(0, record), 3u);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+    // From just before the gap the suffix is contiguous again, across
+    // segments.
+    seen.clear();
+    EXPECT_EQ(wal->replay(9, record), 11u);
+    ASSERT_EQ(seen.size(), 11u);
+    EXPECT_EQ(seen.front(), 10u);
+    EXPECT_EQ(seen.back(), 20u);
+    wal.reset();
+    wal = open_small();  // the same from disk after a restart
+  }
 }
 
 TEST_F(WalTest, PruneBelowDropsWholeColdSegments) {
